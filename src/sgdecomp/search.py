@@ -4,8 +4,12 @@ Symmetry reduction: a decomposition survives part permutation, simultaneous
 translation with zero net shift, and simultaneous dilation by any lambda in
 S_d.  Every binary orbit therefore has a representative with 0 in A, min(B)
 = 1 and |B| <= |A|; every ternary orbit has one with 0 in A, 0 in B, min(C)
-= 1 and |C| <= |B| <= |A|.  Only those representatives are enumerated, and
-results are deduplicated by an explicit orbit-minimal canonical key.
+= 1 and |C| <= |B| <= |A|.  Only those representatives (the emission form)
+are enumerated, and results are deduplicated by an explicit orbit-minimal
+canonical key.  An orbit is still emitted many times, so each search keeps
+a memo: computing an orbit's key visits every image of it, and the images
+in emission form are stored as bitmasks.  A later emission found there is
+skipped, so each orbit's key is computed once.
 
 Enumeration is cover-driven: parts are grown by branching on which element
 covers the lowest uncovered target point, with tried branches barred from
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations, product
 
 from .characters import subgroup
-from .errors import DegenerateD, FieldTooLargeForExhaustive, NotADivisor
+from .errors import (DegenerateD, FieldTooLargeForExhaustive, NotADivisor,
+                     SgdecompError)
 from .field import FieldCtx, lucas_binom_nonzero, make_field_q
 from .subsets import FqSubset, iter_bits, sumset_many
 
@@ -121,12 +127,13 @@ def _subgroup_elems(ctx: FieldCtx, d: int) -> tuple[int, ...]:
 def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool:
     """Exact check: the parts sum to S_d and respect the size floor.
 
-    Returns False on any mismatch instead of raising; d = 1 (the whole of
-    F_q^*) is allowed here even though the searches exclude it.
+    Returns False on any mismatch or malformed part instead of raising;
+    d = 1 (the whole of F_q^*) is allowed here even though the searches
+    exclude it.  Errors from outside the library's input checks propagate.
     """
     try:
         subs = [FqSubset.from_indices(ctx, p) for p in parts]
-    except Exception:
+    except (SgdecompError, ValueError):
         return False
     if not subs or any(s.card < min_part_size for s in subs):
         return False
@@ -135,41 +142,61 @@ def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool
     return sumset_many(subs).bits == subgroup(ctx, d).members.bits
 
 
-def canonical_binary_key(ctx: FieldCtx, d: int, a_idx, b_idx):
-    """Lexicographic minimum of (sorted A', sorted B') over the orbit."""
-    dil = _subgroup_elems(ctx, d)
+def _orbit_key(ctx: FieldCtx, d: int, parts, images=None):
+    """Lexicographic minimum of the sorted parts over the orbit of parts.
+
+    The orbit is generated by dilation by lambda in S_d, part permutation
+    and translation by shifts with zero sum.  Only images with 0 in each of
+    the first k - 1 parts can be minimal, so each of those parts is shifted
+    by minus one of its own elements t_i, and the last part by the sum of
+    the t_i.  Every image in emission form (min of the last part = 1, part
+    sizes non-increasing) is added to images, when given, as one int:
+    part i's bitmask shifted left by i * q.
+    """
+    q = ctx.q
+    sizes = [len(part) for part in parts]
+    plans = []  # (head parts, last part, whether the sizes are non-increasing)
+    for perm in permutations(range(len(parts))):
+        *heads, last = perm
+        plans.append((heads, last,
+                      all(sizes[i] >= sizes[j] for i, j in zip(perm, perm[1:]))))
     best = None
-    for lam in dil:
-        xa = [ctx.mul(lam, a) for a in a_idx]
-        xb = [ctx.mul(lam, b) for b in b_idx]
-        for first, second in ((xa, xb), (xb, xa)):
-            for t in first:
-                cand = (tuple(sorted(ctx.sub(x, t) for x in first)),
-                        tuple(sorted(ctx.add(y, t) for y in second)))
+    for lam in _subgroup_elems(ctx, d):
+        scaled = [[ctx.mul(lam, x) for x in part] for part in parts]
+        moved = {}  # (part, s) -> sorted part + s, for this lambda
+
+        def shifted(i, s):
+            out = moved.get((i, s))
+            if out is None:
+                out = moved[i, s] = tuple(sorted(ctx.add(x, s) for x in scaled[i]))
+            return out
+
+        for heads, last, sizes_ordered in plans:
+            for ts in product(*(scaled[i] for i in heads)):
+                total = 0
+                for t in ts:
+                    total = ctx.add(total, t)
+                cand = tuple(shifted(i, ctx.neg(t)) for i, t in zip(heads, ts))
+                cand += (shifted(last, total),)
                 if best is None or cand < best:
                     best = cand
+                if images is not None and sizes_ordered and cand[-1][0] == 1:
+                    packed = 0
+                    for pos, part in enumerate(cand):
+                        for x in part:
+                            packed |= 1 << (x + pos * q)
+                    images.add(packed)
     return best
 
 
-def canonical_ternary_key(ctx: FieldCtx, d: int, parts):
-    dil = _subgroup_elems(ctx, d)
-    idx = [list(p) for p in parts]
-    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    best = None
-    for lam in dil:
-        scaled = [[ctx.mul(lam, x) for x in part] for part in idx]
-        for pm in perms:
-            x1, x2, x3 = (scaled[i] for i in pm)
-            for t1 in x1:
-                r1 = tuple(sorted(ctx.sub(v, t1) for v in x1))
-                for t2 in x2:
-                    r2 = tuple(sorted(ctx.sub(v, t2) for v in x2))
-                    shift = ctx.add(t1, t2)  # third shift restores the sum
-                    r3 = tuple(sorted(ctx.add(v, shift) for v in x3))
-                    cand = (r1, r2, r3)
-                    if best is None or cand < best:
-                        best = cand
-    return best
+def canonical_binary_key(ctx: FieldCtx, d: int, a_idx, b_idx, images=None):
+    """Lexicographic minimum of (sorted A', sorted B') over the orbit."""
+    return _orbit_key(ctx, d, (a_idx, b_idx), images)
+
+
+def canonical_ternary_key(ctx: FieldCtx, d: int, parts, images=None):
+    """Lexicographic minimum of (sorted A', sorted B', sorted C') over the orbit."""
+    return _orbit_key(ctx, d, parts, images)
 
 
 @lru_cache(maxsize=None)
@@ -337,11 +364,14 @@ def search_binary(task: SearchTask) -> SearchResult:
                                task.prune_flags, counts)
     gas = _Gas(task.budget)
     found = {}
+    seen = set()  # emission-form images of the orbits in found
 
     def sink(a_bits, b_bits):
+        if a_bits | b_bits << task.q in seen:
+            return
         a_idx = tuple(iter_bits(a_bits))
         b_idx = tuple(iter_bits(b_bits))
-        key = canonical_binary_key(ctx, task.d, a_idx, b_idx)
+        key = canonical_binary_key(ctx, task.d, a_idx, b_idx, seen)
         if key not in found:
             found[key] = DecompWitness(parts=(a_idx, b_idx), canonical_key=key)
 
@@ -429,11 +459,14 @@ def search_ternary(task: SearchTask) -> SearchResult:
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
     gas = _Gas(task.budget)
     found = {}
+    seen = set()  # emission-form images of the orbits in found
     min_sz = task.min_part_size
 
     def record(a_bits, b_bits, c_bits):
+        if a_bits | b_bits << task.q | c_bits << 2 * task.q in seen:
+            return
         parts = tuple(tuple(iter_bits(bits)) for bits in (a_bits, b_bits, c_bits))
-        key = canonical_ternary_key(ctx, task.d, parts)
+        key = canonical_ternary_key(ctx, task.d, parts, seen)
         if key not in found:
             found[key] = DecompWitness(parts=parts, canonical_key=key)
 

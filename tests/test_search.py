@@ -1,9 +1,13 @@
 """Exhaustive decomposition search against independent brute force."""
 
+import hashlib
+
 import pytest
 
+import sgdecomp.search as search_mod
 from sgdecomp.errors import DegenerateD, FieldTooLargeForExhaustive, NotADivisor
 from sgdecomp.field import divisors, make_field_q
+from sgdecomp.reports import canonical_json
 from sgdecomp.search import (
     DEFAULT_PRUNES,
     EXISTS,
@@ -16,6 +20,7 @@ from sgdecomp.search import (
     search_ternary,
     verify_witness,
 )
+from sgdecomp.subsets import FqSubset
 
 from oracles import (
     brute_binary_solutions,
@@ -46,6 +51,20 @@ def test_verify_witness():
     assert verify_witness(ctx, ((1,), (0, 1, 2, 3, 4, 5)), 8, min_part_size=1)
     # sums outside the subgroup
     assert not verify_witness(ctx, ((0, 1), (1, 2, 4)), 8)
+    # malformed input reads as invalid, not as an error
+    assert not verify_witness(ctx, ((1, 2, 49), (1, 2, 4)), 8)  # out of range
+    assert not verify_witness(ctx, ((1, 1, 2), (1, 2, 4)), 8)  # repeats
+
+
+def test_verify_witness_propagates_library_bugs(monkeypatch):
+    ctx = make_field_q(49)
+
+    def broken(cls, ctx, indices):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(FqSubset, "from_indices", classmethod(broken))
+    with pytest.raises(RuntimeError):
+        verify_witness(ctx, ((1, 2, 4), (1, 2, 4)), 8)
 
 
 def test_canonical_key_symmetry_invariance():
@@ -186,3 +205,46 @@ def test_oracle_self_check():
     for a_bits, b_bits in sols:
         assert sumset_mask(a_bits, b_bits, ctx.add) == sum(1 << x for x in s)
     assert sols  # S_3 does decompose
+
+
+# sha256 of canonical_json(result.as_dict()), recorded from the search that
+# recomputed every emission's orbit key; witnesses, keys, node and prune
+# counts must stay byte-identical under any speed-up of the search.
+GOLDEN_DIGESTS = [
+    (search_binary, SearchTask(q=49, d=8),
+     "9fd9b46180f13aea8114229ad6a31b33b46973106a0085076bc759b60cf14669"),
+    (search_binary, SearchTask(q=81, d=10),
+     "c73b8d7571073ff434746613dc69438c333348cba942cd68d6eb81086546b22d"),
+    (search_binary, SearchTask(q=121, d=12),
+     "45cf599f23f1b7b286c27be02ae7229e7deaaed9ba444a55d7c186c0f9e0e7c3"),
+    (search_binary, SearchTask(q=169, d=14, budget=2000),
+     "dffcdad7013e0718316b11601e79c789c2459e2c1bbf9f01c67fd2bc97db3011"),
+    (search_ternary, SearchTask(q=49, d=8, arity=3),
+     "dc251373f6c41d122cb400ce24b8cf9fe955cf0d2a927de089cca8eca98094ff"),
+]
+
+
+@pytest.mark.parametrize("fn,task,digest", GOLDEN_DIGESTS,
+                         ids=[f"{t.arity}-{t.q}-{t.d}" for _, t, _ in GOLDEN_DIGESTS])
+def test_golden_search_reports(fn, task, digest):
+    text = canonical_json(fn(task).as_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,fn,task,orbits", [
+    ("canonical_binary_key", search_binary, SearchTask(q=81, d=10), 34),
+    ("canonical_ternary_key", search_ternary, SearchTask(q=49, d=8, arity=3), 5),
+])
+def test_one_key_per_orbit(monkeypatch, name, fn, task, orbits):
+    # without the image memo every emission pays a key: 447 and 53 here
+    original = getattr(search_mod, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, name, counted)
+    res = fn(task)
+    assert res.complete and len(res.witnesses) == orbits
+    assert len(calls) == orbits
