@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cache as cachemod
 from .characters import character, double_char_sum, subgroup
@@ -47,7 +45,7 @@ from .search import (
     verify_witness,
 )
 from .stepanov import build_certificate, grow_hypothesis_pair, zero_polynomial_dichotomy
-from .structure import power_sum_identity_check, structure_check
+from .structure import structure_check
 from .subsets import FqSubset
 
 
@@ -85,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--qmax", type=int,
                    help="batch mode: CSV over all pairs with q <= qmax")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common(p)
 
     p = sub.add_parser("search", help="exhaustive decomposition search")
@@ -175,8 +172,7 @@ def _cmd_classify(args):
     if args.qmax is not None:
         pairs = [(d, q) for q, _, _ in prime_powers(args.qmax)
                  for d in divisors(q - 1) if 2 <= d < q - 1]
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            rows = list(pool.map(lambda dq: classify_pair(*dq), pairs))
+        rows = [classify_pair(d, q) for d, q in pairs]
         if args.json:
             return {"pairs": [pc.as_dict() for pc in rows],
                     "provenance": THEOREM}, None, 0
@@ -251,8 +247,7 @@ def _cmd_analyze(args):
     b = FqSubset.from_indices(ctx, args.B)
     dich = zero_polynomial_dichotomy(ctx, a, b, args.d)
     cert = dich.certificate
-    power_sum_identity_check(cert)
-    rep = structure_check(cert)
+    rep = structure_check(cert)  # raises if a power-sum identity fails
     results = {
         "dichotomy": dich.kind,
         "certified_bound": dich.certified_bound,

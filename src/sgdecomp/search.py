@@ -13,16 +13,18 @@ skipped, so each orbit's key is computed once.
 
 Enumeration is cover-driven: parts are grown by branching on which element
 covers the lowest uncovered target point, with tried branches barred from
-later siblings so each solution is produced exactly once.  Size pairs are
-prefiltered by theorem-backed pruning rules (each one toggleable so tests
-can compare against an unpruned oracle):
+later siblings so each solution is produced exactly once.  One grower
+builds every pair of parts: A + B = S_d, or D + C = S_d and then A + B = D.
+One predicate picks the part sizes it tries by theorem-backed rules, each
+toggleable so tests can compare against an unpruned oracle; a pruned size
+counts under the first rule it fails, in this order:
 
+  PRODUCT_LT_Q      A+B inside S_d forces |A||B| < q;
   CAUCHY_DAVENPORT  min(p, |A|+|B|-1) <= |A+B|, so when p > |S_d| a
                     decomposition needs |A|+|B|-1 <= |S_d|;
-  PRODUCT_LT_Q      A+B inside S_d forces |A||B| < q;
+  DISTINCT_SUMS     |S_d| <= 2p/3 forces |A||B| = |A+B| outright;
   HANSON_PETRIDIS   if C(|A|-1+|S_d|, |S_d|) is nonzero mod p then
-                    |A||B| <= |S_d|, hence equality (a tiling);
-  DISTINCT_SUMS     |S_d| <= 2p/3 forces |A||B| = |S_d| outright.
+                    |A||B| <= |S_d|, hence equality (a tiling).
 
 A budget caps visited nodes.  A truncated run never claims exhaustiveness:
 with witnesses it reports EXISTS (complete=False), without any it reports
@@ -31,13 +33,13 @@ UNKNOWN, never NONE_EXHAUSTIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
 from .characters import subgroup
-from .errors import (DegenerateD, FieldTooLargeForExhaustive, NotADivisor,
-                     SgdecompError)
+from .errors import (DegenerateD, FieldTooLargeForExhaustive,
+                     HypothesisViolated, NotADivisor, SgdecompError)
 from .field import FieldCtx, lucas_binom_nonzero, make_field_q
 from .subsets import FqSubset, iter_bits, sumset_many
 
@@ -65,6 +67,13 @@ class SearchTask:
     min_part_size: int = 2
     budget: int | None = None
     prune_flags: frozenset = DEFAULT_PRUNES
+
+    def __post_init__(self):
+        if self.min_part_size < 1:
+            raise HypothesisViolated(
+                f"min_part_size must be >= 1, got {self.min_part_size}")
+        if self.budget is not None and self.budget < 0:
+            raise HypothesisViolated(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -217,29 +226,37 @@ def _check_task(task: SearchTask, cap: int) -> FieldCtx:
     return ctx
 
 
-def _binary_size_pairs(q, p, order, min_sz, flags, counts):
-    """Feasible (|B|, allowed |A| sizes) with |B| <= |A|, after pruning."""
-    out = {}
+def _feasible_sizes(sizes, sb, target, q, p, order, flags, counts):
+    """The |A| in sizes that the rules allow when |B| = sb, |A + B| = target."""
+    lt_q = PRODUCT_LT_Q in flags
+    cauchy = CAUCHY_DAVENPORT in flags and p > order
     distinct = DISTINCT_SUMS in flags and 3 * order <= 2 * p
-    for sb in range(min_sz, order + 1):
-        allowed = []
-        for sa in range(sb, order + 1):
-            if sa * sb < order:
-                continue  # cannot cover S_d
-            if PRODUCT_LT_Q in flags and sa * sb >= q:
-                counts[PRODUCT_LT_Q] += 1
-                continue
-            if CAUCHY_DAVENPORT in flags and p > order and sa + sb - 1 > order:
-                counts[CAUCHY_DAVENPORT] += 1
-                continue
-            if distinct and sa * sb != order:
-                counts[DISTINCT_SUMS] += 1
-                continue
-            if HANSON_PETRIDIS in flags and sa * sb != order and (
-                    _tiling_forced(sa, order, p) or _tiling_forced(sb, order, p)):
-                counts[HANSON_PETRIDIS] += 1
-                continue
-            allowed.append(sa)
+    hanson = HANSON_PETRIDIS in flags
+    out = []
+    for sa in sizes:
+        prod = sa * sb
+        if prod < target:
+            continue  # cannot cover the target; not a prune
+        if lt_q and prod >= q:
+            counts[PRODUCT_LT_Q] += 1
+        elif cauchy and sa + sb - 1 > order:
+            counts[CAUCHY_DAVENPORT] += 1
+        elif distinct and prod != target:
+            counts[DISTINCT_SUMS] += 1
+        elif hanson and prod > order and (
+                _tiling_forced(sa, order, p) or _tiling_forced(sb, order, p)):
+            counts[HANSON_PETRIDIS] += 1
+        else:
+            out.append(sa)
+    return out
+
+
+def _size_pairs(lo, target, q, p, order, flags, counts):
+    """Feasible {|B|: allowed |A|} for |A + B| = target, lo <= |B| <= |A|."""
+    out = {}
+    for sb in range(lo, target + 1):
+        allowed = _feasible_sizes(range(sb, target + 1), sb, target,
+                                  q, p, order, flags, counts)
         if allowed:
             out[sb] = allowed
     return out
@@ -312,7 +329,7 @@ def _enum_second_parts(ctx, target_bits, first_forced, first_pool,
 
     target_bits is what A + B must equal; B lives in first_pool and starts
     from first_forced (index 1 when the target is S_d, 0 for split targets).
-    sink receives (a_bits, b_bits).
+    size_pairs maps |B| to the allowed |A|; sink receives (a_bits, b_bits).
     """
     for sb in sorted(size_pairs):
         sizes_a = size_pairs[sb]
@@ -360,8 +377,8 @@ def search_binary(task: SearchTask) -> SearchResult:
     order = (task.q - 1) // task.d
     s_bits = subgroup(ctx, task.d).members.bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
-    pairs = _binary_size_pairs(task.q, ctx.p, order, task.min_part_size,
-                               task.prune_flags, counts)
+    pairs = _size_pairs(task.min_part_size, order, task.q, ctx.p, order,
+                        task.prune_flags, counts)
     gas = _Gas(task.budget)
     found = {}
     seen = set()  # emission-form images of the orbits in found
@@ -387,71 +404,14 @@ def search_binary(task: SearchTask) -> SearchResult:
                         complete=complete, nodes=gas.nodes, prune_counts=counts)
 
 
-def _intermediate_sizes(q, p, order, sc, min_sz, flags, counts):
-    """Allowed |D| for D + C = S_d with |C| = sc, D an A+B sumset."""
-    out = []
-    distinct = DISTINCT_SUMS in flags and 3 * order <= 2 * p
-    for sd in range(max(min_sz, (order + sc - 1) // sc), order + 1):
-        if sd * sc < order:
-            continue
-        if PRODUCT_LT_Q in flags and sd * sc >= q:
-            counts[PRODUCT_LT_Q] += 1
-            continue
-        if CAUCHY_DAVENPORT in flags and p > order and sd + sc - 1 > order:
-            counts[CAUCHY_DAVENPORT] += 1
-            continue
-        if distinct and sd * sc != order:
-            counts[DISTINCT_SUMS] += 1
-            continue
-        if HANSON_PETRIDIS in flags and sd * sc != order and (
-                _tiling_forced(sd, order, p) or _tiling_forced(sc, order, p)):
-            counts[HANSON_PETRIDIS] += 1
-            continue
-        out.append(sd)
-    return out
-
-
-def _split_size_pairs(q, p, order, d_size, sc, min_sz, flags, counts):
-    """Feasible (|B|, allowed |A|) for A + B = D inside a ternary witness.
-
-    The part-size ordering puts C lowest, so both split sizes are >= |C|.
-    The subgroup-level bounds apply through the pairs (A, B+C) and
-    (B, A+C), whose sumsets have size at least max of the other two parts.
-    """
-    out = {}
-    distinct = DISTINCT_SUMS in flags and 3 * order <= 2 * p
-    lo = max(min_sz, sc)
-    for sb in range(lo, d_size + 1):
-        allowed = []
-        for sa in range(sb, d_size + 1):
-            if sa * sb < d_size:
-                continue
-            if PRODUCT_LT_Q in flags and sa * sb >= q:
-                counts[PRODUCT_LT_Q] += 1
-                continue
-            if CAUCHY_DAVENPORT in flags and p > order and sa + sb - 1 > order:
-                counts[CAUCHY_DAVENPORT] += 1
-                continue
-            if distinct and sa * sb != d_size:
-                counts[DISTINCT_SUMS] += 1
-                continue
-            if HANSON_PETRIDIS in flags and (
-                    (_tiling_forced(sa, order, p) and sa * sb > order) or
-                    (_tiling_forced(sb, order, p) and sb * sa > order)):
-                counts[HANSON_PETRIDIS] += 1
-                continue
-            allowed.append(sa)
-        if allowed:
-            out[sb] = allowed
-    return out
-
-
 def search_ternary(task: SearchTask) -> SearchResult:
     """All S_d = A + B + C up to symmetry in a micro field (q <= 64).
 
     Enumerates C (min(C) = 1, the smallest part), then every D with
     D + C = S_d over the shrinking candidate set, then binary splits
-    A + B = D with 0 in both A and B.
+    A + B = D with 0 in both A and B.  The size rules hold for the split
+    through the pairs (A, B + C) and (B, A + C), whose sumsets are at least
+    as large as each part.
     """
     ctx = _check_task(task, TERNARY_Q_CAP)
     order = (task.q - 1) // task.d
@@ -461,6 +421,7 @@ def search_ternary(task: SearchTask) -> SearchResult:
     found = {}
     seen = set()  # emission-form images of the orbits in found
     min_sz = task.min_part_size
+    rules = (task.q, ctx.p, order, task.prune_flags, counts)
 
     def record(a_bits, b_bits, c_bits):
         if a_bits | b_bits << task.q | c_bits << 2 * task.q in seen:
@@ -470,58 +431,27 @@ def search_ternary(task: SearchTask) -> SearchResult:
         if key not in found:
             found[key] = DecompWitness(parts=parts, canonical_key=key)
 
-    def on_d(d_bits, c_bits, split_cache):
-        d_size = d_bits.bit_count()
-        pairs = split_cache.get(d_size)
+    def on_d(d_bits, c_bits):
+        sizes = (c_bits.bit_count(), d_bits.bit_count())
+        pairs = split_cache.get(sizes)
         if pairs is None:
-            pairs = _split_size_pairs(task.q, ctx.p, order, d_size,
-                                      c_bits.bit_count(), min_sz,
-                                      task.prune_flags, counts)
-            split_cache[d_size] = pairs
-        if not pairs:
-            return
+            pairs = split_cache[sizes] = _size_pairs(
+                max(min_sz, sizes[0]), sizes[1], *rules)
         _enum_second_parts(ctx, d_bits, 0, d_bits, pairs, gas,
                            lambda a_bits, b_bits: record(a_bits, b_bits, c_bits),
                            {})
 
     complete = True
+    split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
     try:
-        max_sc = order
-        for sc in range(min_sz, max_sc + 1):
-            d_sizes = _intermediate_sizes(task.q, ctx.p, order, sc, min_sz,
-                                          task.prune_flags, counts)
+        for sc in range(min_sz, order + 1):
             # both split parts are at least as large as C
-            d_sizes = [sd for sd in d_sizes if sd >= max(min_sz, sc)]
-            if not d_sizes:
-                continue
-            split_cache = {}
-            shift_cache = {}
-
-            def grow_c(c_bits, pool, cand_d, cnt):
-                gas.tick()
-                if cnt == sc:
-                    _cover_enum(ctx, c_bits, cand_d, s_bits, 1, d_sizes, gas,
-                                lambda d_bits: on_d(d_bits, c_bits, split_cache))
-                    return
-                if pool.bit_count() < sc - cnt:
-                    return
-                rest = pool
-                while rest:
-                    low = rest & -rest
-                    c = low.bit_length() - 1
-                    rest &= rest - 1
-                    shifted = shift_cache.get(c)
-                    if shifted is None:
-                        shifted = ctx.translate_bits(s_bits, ctx.neg(c))
-                        shift_cache[c] = shifted
-                    nxt = cand_d & shifted
-                    if nxt.bit_count() < min(d_sizes):
-                        continue
-                    grow_c(c_bits | low, rest, nxt, cnt + 1)
-
-            base = ctx.translate_bits(s_bits, ctx.neg(1))
-            shift_cache[1] = base
-            grow_c(0b10, s_bits & ~0b11, base, 1)
+            d_sizes = [sd for sd in _feasible_sizes(range(min_sz, order + 1),
+                                                    sc, order, *rules)
+                       if sd >= sc]
+            if d_sizes:
+                _enum_second_parts(ctx, s_bits, 1, s_bits, {sc: d_sizes}, gas,
+                                   on_d, {})
     except _BudgetExceeded:
         complete = False
 

@@ -50,18 +50,14 @@ def complete_homogeneous(ctx: FieldCtx, elems, kmax: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def power_sum_identity_check(cert: StepanovCertificate, kmax: int | None = None) -> bool:
-    """Verify sum_i c_i a_i^(n-1+k) = h_k(A) for k = 0..kmax.
-
-    Defaults to kmax = 2n, enough to exercise indices past the matrix rows
-    used to solve for c.  Returns True; a mismatch raises
-    InternalProofFailure since the identity is unconditional.
-    """
+def _power_sum_identities(cert: StepanovCertificate, kmax: int | None = None):
+    """(k, sum_i c_i a_i^(n-1+k), h_k(A)) for k = 0..kmax; raises on a mismatch."""
     ctx = cert.ctx
     n = len(cert.a_elems)
     if kmax is None:
         kmax = 2 * n
     hs = complete_homogeneous(ctx, cert.a_elems, kmax)
+    ids = []
     for k in range(kmax + 1):
         acc = 0
         for ci, ai in zip(cert.coefficients, cert.a_elems):
@@ -69,6 +65,18 @@ def power_sum_identity_check(cert: StepanovCertificate, kmax: int | None = None)
         if acc != hs[k]:
             raise InternalProofFailure(
                 f"power-sum identity fails at k={k}: {acc} != {hs[k]}")
+        ids.append((k, acc, hs[k]))
+    return ids
+
+
+def power_sum_identity_check(cert: StepanovCertificate, kmax: int | None = None) -> bool:
+    """Verify sum_i c_i a_i^(n-1+k) = h_k(A) for k = 0..kmax.
+
+    Defaults to kmax = 2n, enough to exercise indices past the matrix rows
+    used to solve for c.  Returns True; a mismatch raises
+    InternalProofFailure since the identity is unconditional.
+    """
+    _power_sum_identities(cert, kmax)
     return True
 
 
@@ -89,21 +97,10 @@ def structure_check(cert: StepanovCertificate) -> StructureReport:
     simply records the binomials and identity samples.
     """
     ctx = cert.ctx
-    n = len(cert.a_elems)
     e, order = cert.exponent, cert.subgroup_order
     top_ok, _ = lucas_binom_nonzero(e, order, ctx.p)
     second_ok, _ = lucas_binom_nonzero(e, order - 1, ctx.p) if order >= 1 else (True, 1)
-
-    kmax = 2 * n
-    hs = complete_homogeneous(ctx, cert.a_elems, kmax)
-    ids = []
-    for k in range(kmax + 1):
-        acc = 0
-        for ci, ai in zip(cert.coefficients, cert.a_elems):
-            acc = ctx.add(acc, ctx.mul(ci, ctx.pow(ai, n - 1 + k)))
-        ids.append((k, acc, hs[k]))
-        if acc != hs[k]:
-            raise InternalProofFailure(f"power-sum identity fails at k={k}")
+    ids = _power_sum_identities(cert)
 
     product_equals_order = cert.product == order
     if cert.poly.is_zero and not product_equals_order:

@@ -109,7 +109,7 @@ def test_classify_single_pair(capsys):
 
 
 def test_classify_batch_csv(capsys):
-    code, out, _ = run(capsys, "classify", "--qmax", "30", "--threads", "2")
+    code, out, _ = run(capsys, "classify", "--qmax", "30")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     header, body = rows[0], rows[1:]
@@ -173,6 +173,17 @@ def test_search_disable_prune(capsys, monkeypatch, tmp_path):
     loose = run_json(capsys, "search", "--q", "13", "--d", "3", "--no-cache",
                      "--disable-prune", "DISTINCT_SUMS")[1]
     assert base["results"]["witnesses"] == loose["results"]["witnesses"]
+
+
+def test_search_rejects_bad_limits_before_cache(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    for extra in (("--arity", "3", "--min-size", "0"), ("--min-size", "-3"),
+                  ("--budget", "-1")):
+        code, out, err = run(capsys, "search", "--q", "13", "--d", "3",
+                             *extra, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # nothing cached
 
 
 def test_construct_families(capsys):
@@ -248,3 +259,48 @@ def test_selftest_replay(capsys, tmp_path, monkeypatch):
     code, replay, _ = run_json(capsys, "selftest", "--replay", str(report_path))
     assert code == 1
     assert replay["results"]["all_ok"] is False
+
+
+# sha256 of stdout, recorded before the size-rule, identity-check and
+# --threads deletions; charsum is left out because its floats come from libm.
+GOLDEN_CLI = [
+    (("field", "--q", "13", "--json"),
+     "f97034860bc1c51acc651ac119ec14ade4199c5367ee57720c601b9dde6c6709"),
+    (("field", "--p", "7", "--n", "2", "--json"),
+     "ded132711a4cb03bb2bffbcbde358c7656c69930374d7f6bb929bbb3addce3a6"),
+    (("classify", "--q", "121", "--d", "8", "--json"),
+     "2460acf9ab496e4f9ef43f16433f4a2d4aa84d0bb322333501a52c70b87cf8e1"),
+    (("classify", "--qmax", "30"),  # CSV
+     "2519072b9eddb779d3c9ba7ca2ea35012f4564bab43bc7c22a166b6c4a31fba9"),
+    (("stepanov", "--q", "13", "--d", "3", "--A", "0,7", "--B", "1,5", "--json"),
+     "cba3febad0aab9a6439f4259b1ab2f44f94ba032ba6b54c3c4376778d64efec9"),
+    (("analyze", "--q", "13", "--d", "3", "--A", "0,7", "--B", "1,5", "--json"),
+     "67bb0ddef32254593c0d444c7f3e3fde10134a539374783f0d519f2250028046"),
+    (("analyze", "--q", "49", "--d", "8", "--A", "1,2,4", "--B", "1,2,4",
+      "--json"),
+     "5a457fe2f14d79f55045360b0c2bdefaf898255d2d44935f503af0ecadf890d3"),
+    (("construct", "--family", "a-plus-a", "--p", "7", "--n", "1", "--json"),
+     "a53daa6cbc0d5c902b9584eaaa4dc52feb4a2cf2bfe62195b3dd4727844039d0"),
+    (("construct", "--family", "subfield", "--p", "7", "--n", "2", "--k", "1",
+      "--json"),
+     "8a02250676814cfc8a1c26083140262d75c34399ade6345439e78aba72042919"),
+    (("construct", "--family", "ternary", "--p", "5", "--n", "2", "--k", "1",
+      "--json"),
+     "9ea7404314cdd8b308eb691468c25705fdef6a71eeda72bd5aaa5a2c2e2392da"),
+    (("selftest", "--json"),
+     "9b8ff8e5e74d2e33ef922609e88e695847784be8b3cd41cf2c890d13496eafbf"),
+    (("search", "--q", "13", "--d", "3", "--no-cache", "--json"),
+     "8a74d72fe5a8666e626986b30a2faf4e37f7dedb7211ed2aeb7d2325aca3171a"),
+    (("search", "--q", "49", "--d", "8", "--arity", "3", "--no-cache", "--json"),
+     "ae1fd5fce4675c0e2382dc73aa20f04caa79fd90019762453eb7ab6e9d0511fd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_CLI,
+                         ids=["_".join(x.lstrip("-") for x in a if x != "--json")
+                              for a, _ in GOLDEN_CLI])
+def test_golden_cli_reports(capsys, monkeypatch, tmp_path, argv, digest):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

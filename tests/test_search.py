@@ -5,10 +5,12 @@ import hashlib
 import pytest
 
 import sgdecomp.search as search_mod
-from sgdecomp.errors import DegenerateD, FieldTooLargeForExhaustive, NotADivisor
+from sgdecomp.errors import (DegenerateD, FieldTooLargeForExhaustive,
+                             HypothesisViolated, NotADivisor)
 from sgdecomp.field import divisors, make_field_q
 from sgdecomp.reports import canonical_json
 from sgdecomp.search import (
+    CAUCHY_DAVENPORT,
     DEFAULT_PRUNES,
     EXISTS,
     NONE_EXHAUSTIVE,
@@ -189,6 +191,15 @@ def test_task_guards():
         search_binary(SearchTask(q=13, d=5))
 
 
+def test_task_rejects_bad_size_floor_and_budget():
+    for kwargs in ({"min_part_size": 0}, {"min_part_size": -3},
+                   {"arity": 3, "min_part_size": 0}, {"budget": -1}):
+        with pytest.raises(HypothesisViolated):
+            SearchTask(q=13, d=3, **kwargs)
+    res = search_binary(SearchTask(q=13, d=3, budget=0))
+    assert not res.complete and res.kind == UNKNOWN
+
+
 def test_min_part_size_one_allows_translates():
     res = search_binary(SearchTask(q=13, d=3, min_part_size=1))
     assert res.kind == EXISTS
@@ -207,9 +218,10 @@ def test_oracle_self_check():
     assert sols  # S_3 does decompose
 
 
-# sha256 of canonical_json(result.as_dict()), recorded from the search that
-# recomputed every emission's orbit key; witnesses, keys, node and prune
-# counts must stay byte-identical under any speed-up of the search.
+# sha256 of canonical_json(result.as_dict()), each recorded before a rewrite
+# of the search (the first five before the orbit-key memo, the rest before
+# the size rules were merged into one predicate); witnesses, keys, node and
+# prune counts must stay byte-identical under any refactor or speed-up.
 GOLDEN_DIGESTS = [
     (search_binary, SearchTask(q=49, d=8),
      "9fd9b46180f13aea8114229ad6a31b33b46973106a0085076bc759b60cf14669"),
@@ -221,11 +233,36 @@ GOLDEN_DIGESTS = [
      "dffcdad7013e0718316b11601e79c789c2459e2c1bbf9f01c67fd2bc97db3011"),
     (search_ternary, SearchTask(q=49, d=8, arity=3),
      "dc251373f6c41d122cb400ce24b8cf9fe955cf0d2a927de089cca8eca98094ff"),
+    # budget-truncated ternary runs: prune tables are built lazily, so the
+    # counts stop where the budget does
+    (search_ternary, SearchTask(q=64, d=9, arity=3, budget=300),
+     "4d4f561dfe4f26ccf31ace547dfc343f4fbfef64199c06adf45b655896f16d2b"),
+    (search_ternary, SearchTask(q=61, d=2, arity=3, budget=300),
+     "111e7d882a38e517c26819790a1fcd3bf48bcdf12d6a0e5b9fac34038bb6e60d"),
+    (search_ternary, SearchTask(q=49, d=8, arity=3,
+                                prune_flags=DEFAULT_PRUNES - {CAUCHY_DAVENPORT}),
+     "3f414f4c6fa73d5d568452ef237443fed152148101575e1e8064c3d5f1d7095b"),
+    (search_binary, SearchTask(q=49, d=8, prune_flags=frozenset()),
+     "45bf28abf711b9ff375c237e9eb313e14663707994729fd7d57a6ff6242e4089"),
+    (search_binary, SearchTask(q=13, d=3, min_part_size=1),
+     "bf67e0e35cf411cca439aded4bafc8b39a42259c6763881cf0fa161733281ec5"),
+    (search_binary, SearchTask(q=409, d=2, budget=2000),  # UNKNOWN
+     "314ce4c2c96ac2c802940aa9db098820df7e3bdd76187ce8c62bf13d11c22fa6"),
 ]
 
 
+def _golden_id(task):
+    tag = f"{task.arity}-{task.q}-{task.d}"
+    if task.min_part_size != 2:
+        tag += f"-min{task.min_part_size}"
+    off = sorted(DEFAULT_PRUNES - task.prune_flags)
+    if off:
+        tag += "-off-" + ("all" if not task.prune_flags else "-".join(off))
+    return tag
+
+
 @pytest.mark.parametrize("fn,task,digest", GOLDEN_DIGESTS,
-                         ids=[f"{t.arity}-{t.q}-{t.d}" for _, t, _ in GOLDEN_DIGESTS])
+                         ids=[_golden_id(t) for _, t, _ in GOLDEN_DIGESTS])
 def test_golden_search_reports(fn, task, digest):
     text = canonical_json(fn(task).as_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
