@@ -24,7 +24,7 @@ from itertools import product
 
 from .characters import SubgroupSpec, subgroup
 from .errors import InternalProofFailure, NotAProperDivisor, PTooSmall
-from .field import FieldCtx, make_field
+from .field import FieldCtx, linear_images, make_field
 from .subsets import FqSubset, iter_bits, sumset_many
 
 A_PLUS_A = "a-plus-a"
@@ -130,12 +130,24 @@ class SubfieldSd:
     basis: tuple[int, ...]  # an F_p-basis of the subfield
 
 
+def frobenius_images(ctx: FieldCtx, k: int) -> list[int]:
+    """x^(p^k) at every index x, without the exp, dlog or zech tables.
+
+    Frobenius is F_p-linear, so square-and-multiply on the polynomial
+    residues of the n basis elements x^j fixes the whole map.
+    """
+    e = ctx.p**k
+    return linear_images([ctx._raw_pow(ctx.p**j, e) for j in range(ctx.n)],
+                         ctx.p)
+
+
 def subfield_S_d(p: int, n: int, k: int, ctx: FieldCtx | None = None) -> SubfieldSd:
     """Identify S_d, d = (q-1)/(p^k-1), with F_{p^k}^* two independent ways.
 
     The subgroup side uses the dlog table; the subfield side collects the
-    fixed points of k-fold Frobenius with plain square-and-multiply, so the
-    two computations share no code path.  Disagreement is a bug, not an
+    fixed points of k-fold Frobenius, a linear map extended from its images
+    of the basis x^j, which are computed by polynomial square-and-multiply.
+    Neither reads the other's tables, so disagreement is a bug, not an
     input error.
     """
     if k < 1 or k >= n or n % k != 0:
@@ -145,12 +157,11 @@ def subfield_S_d(p: int, n: int, k: int, ctx: FieldCtx | None = None) -> Subfiel
     d = (ctx.q - 1) // (p**k - 1)
     spec = subgroup(ctx, d)
 
-    e = p**k
     fixed = 0
-    for x in range(ctx.q):
-        if ctx._raw_pow(x, e) == x:
+    for x, y in enumerate(frobenius_images(ctx, k)):
+        if x == y:
             fixed |= 1 << x
-    if fixed.bit_count() != e:
+    if fixed.bit_count() != p**k:
         raise InternalProofFailure("Frobenius fixed set has the wrong size")
     if fixed & ~1 != spec.members.bits:
         raise InternalProofFailure("power residues disagree with the subfield")

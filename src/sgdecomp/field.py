@@ -1,4 +1,4 @@
-"""Small finite fields F_q, q = p^n <= 2^20, with full discrete-log tables.
+"""Small finite fields F_q, q = p^n <= 2^20, with table-driven arithmetic.
 
 Elements are plain integer indices in [0, q).  The little-endian base-p
 digits of an index are the coefficients of the residue polynomial, so for
@@ -8,12 +8,23 @@ irreducible of degree n (coefficients compared low-degree first), and the
 generator is the smallest-index primitive element, so a (p, n) pair always
 produces the identical context.
 
-The dlog table maps index -> discrete log base the generator; index 0 gets
-the sentinel -1 (log undefined).
+Every operation is a table lookup once the context is built:
+
+  * exp[k] = g^k and dlog[x] = log_g x, with dlog[0] the sentinel -1;
+  * for n > 1, the Zech logarithms zech[k] = dlog(1 + g^k), so that
+    x + y = g^(log x + zech[log y - log x]), and a negation table;
+  * prime fields add and negate mod p and build neither extra table.
+
+The build never multiplies polynomials per element.  Multiplication by g
+is F_p-linear, so n products give the images of the coordinate basis x^j,
+and linear_images extends them to every index at one cheap step each (an
+xor for p = 2).  Walking that table from 1 lists the powers of g; adding 1
+only changes digit 0, so each Zech entry costs O(1).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,28 +276,62 @@ def _is_irreducible(coeffs: list[int], p: int, n: int) -> bool:
 def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)
-    # lexicographically smallest (c_0, ..., c_{n-1}), low-degree digit first
-    for code in range(p**n):
+    # lexicographically smallest (c_0, ..., c_{n-1}), low-degree digit first;
+    # codes below p^(n-1) have c_0 = 0, a root at zero
+    for code in range(p ** (n - 1), p**n):
         digs = []
         m = code
         for _ in range(n):
             digs.append(m % p)
             m //= p
-        cand = list(reversed(digs))  # c_0 varies slowest
-        if cand[0] == 0:
-            continue  # root at zero
-        coeffs = cand + [1]
+        coeffs = digs[::-1] + [1]  # c_0 varies slowest
         if _is_irreducible(coeffs, p, n):
             return tuple(coeffs)
     raise InternalError  # pragma: no cover - irreducibles always exist
+
+
+def _digit_sum(x: int, y: int, p: int) -> int:
+    """Index of the digitwise sum mod p of the indices x and y."""
+    out, pw = 0, 1
+    while x or y:
+        out += ((x + y) % p) * pw
+        x //= p
+        y //= p
+        pw *= p
+    return out
+
+
+def linear_images(cols: list[int], p: int) -> list[int]:
+    """Image of every index under the F_p-linear map sending x^j to cols[j].
+
+    The indices [v p^j, (v + 1) p^j) map to the images of [0, p^j)
+    translated by v cols[j], so each index costs one step: an xor for
+    p = 2, and otherwise two lookups, in tables that translate the low and
+    the high half of the digits.
+    """
+    img = [0]
+    if p == 2:
+        for c in cols:
+            img += [y ^ c for y in img]
+        return img
+    half = p ** (len(cols) // 2)
+    rest = p ** len(cols) // half
+    for c in cols:
+        lo = [_digit_sum(a, c % half, p) for a in range(half)]
+        hi = [_digit_sum(b, c // half, p) * half for b in range(rest)]
+        block = img
+        for _ in range(p - 1):
+            block = [lo[y % half] + hi[y // half] for y in block]
+            img += block
+    return img
 
 
 class FieldCtx:
     """Arithmetic context for F_{p^n}.  Build through make_field()."""
 
     __slots__ = (
-        "p", "n", "q", "modulus", "generator", "exp", "dlog", "key",
-        "full_mask", "nonzero_mask", "_digit_masks",
+        "p", "n", "q", "modulus", "generator", "exp", "dlog", "zech",
+        "neg_table", "key", "full_mask", "nonzero_mask", "_digit_masks",
     )
 
     def __init__(self, p: int, n: int):
@@ -344,7 +389,7 @@ class FieldCtx:
         return r
 
     def _build_tables(self) -> None:
-        q = self.q
+        p, n, q = self.p, self.n, self.q
         order = q - 1
         rs = prime_factors(order) if order > 1 else []
         gen = None
@@ -356,43 +401,58 @@ class FieldCtx:
             raise InternalError
         self.generator = gen
         exp = [0] * order
-        dlog = [DLOG_UNDEFINED] * q
         acc = 1
-        for k in range(order):
-            exp[k] = acc
-            if dlog[acc] != DLOG_UNDEFINED:  # pragma: no cover
-                raise InternalError
-            dlog[acc] = k
-            acc = self._raw_mul(acc, gen)
-        if acc != 1:  # pragma: no cover
+        if n == 1:
+            for k in range(order):
+                exp[k] = acc
+                acc = acc * gen % p
+        else:
+            times_g = linear_images([self._raw_mul(p**j, gen) for j in range(n)], p)
+            for k in range(order):
+                exp[k] = acc
+                acc = times_g[acc]
+            del times_g  # before dlog, which would otherwise raise the peak
+        dlog = [DLOG_UNDEFINED] * q
+        for k, x in enumerate(exp):
+            dlog[x] = k
+        if acc != 1 or dlog.count(DLOG_UNDEFINED) != 1:  # pragma: no cover
             raise InternalError
         self.exp = exp
         self.dlog = dlog
+        self.zech = self.neg_table = None
+        if n > 1:
+            # zech[k] = dlog(1 + g^k), -1 where g^k = -1; adding 1 changes
+            # only digit 0.  A generator, so no list of q entries is built.
+            self.zech = array("i", (dlog[x + 1 - p if x % p == p - 1 else x + 1]
+                                    for x in exp))
+            if p == 2:
+                self.neg_table = range(q)  # -x = x
+            else:
+                # -x = g^(log x - (q-1)/2); a negative index wraps mod q - 1
+                neg = [exp[k - order // 2] for k in dlog]
+                neg[0] = 0  # dlog[0] is the sentinel
+                self.neg_table = neg
 
     # --- public element arithmetic ----------------------------------------
 
     def add(self, x: int, y: int) -> int:
         if self.n == 1:
             return (x + y) % self.p
-        p = self.p
-        out, pw = 0, 1
-        for _ in range(self.n):
-            out += ((x + y) % p) * pw
-            x //= p
-            y //= p
-            pw *= p
-        return out
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        dlog = self.dlog
+        lx = dlog[x]
+        z = self.zech[dlog[y] - lx]  # a negative index wraps mod q - 1
+        if z == DLOG_UNDEFINED:
+            return 0
+        return self.exp[(lx + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
         if self.n == 1:
             return (-x) % self.p
-        p = self.p
-        out, pw = 0, 1
-        for _ in range(self.n):
-            out += ((-x) % p) * pw
-            x //= p
-            pw *= p
-        return out
+        return self.neg_table[x]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

@@ -69,6 +69,8 @@ class SearchTask:
     prune_flags: frozenset = DEFAULT_PRUNES
 
     def __post_init__(self):
+        if self.arity not in (2, 3):
+            raise HypothesisViolated(f"arity must be 2 or 3, got {self.arity}")
         if self.min_part_size < 1:
             raise HypothesisViolated(
                 f"min_part_size must be >= 1, got {self.min_part_size}")
@@ -214,7 +216,10 @@ def _tiling_forced(size: int, order: int, p: int) -> bool:
     return ok
 
 
-def _check_task(task: SearchTask, cap: int) -> FieldCtx:
+def _check_task(task: SearchTask, arity: int, cap: int) -> FieldCtx:
+    if task.arity != arity:
+        raise HypothesisViolated(
+            f"an arity-{task.arity} task given to the arity-{arity} search")
     if task.q > cap:
         raise FieldTooLargeForExhaustive(
             f"exhaustive mode needs q <= {cap}, got {task.q}")
@@ -373,7 +378,7 @@ def search_binary(task: SearchTask) -> SearchResult:
     Representatives have 0 in A (so B lands inside S_d), min(B) = 1 via
     dilation, and |B| <= |A| via the swap.
     """
-    ctx = _check_task(task, BINARY_Q_CAP)
+    ctx = _check_task(task, 2, BINARY_Q_CAP)
     order = (task.q - 1) // task.d
     s_bits = subgroup(ctx, task.d).members.bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
@@ -413,7 +418,7 @@ def search_ternary(task: SearchTask) -> SearchResult:
     through the pairs (A, B + C) and (B, A + C), whose sumsets are at least
     as large as each part.
     """
-    ctx = _check_task(task, TERNARY_Q_CAP)
+    ctx = _check_task(task, 3, TERNARY_Q_CAP)
     order = (task.q - 1) // task.d
     s_bits = subgroup(ctx, task.d).members.bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}

@@ -284,6 +284,9 @@ GOLDEN_CLI = [
     (("construct", "--family", "subfield", "--p", "7", "--n", "2", "--k", "1",
       "--json"),
      "8a02250676814cfc8a1c26083140262d75c34399ade6345439e78aba72042919"),
+    (("construct", "--family", "subfield", "--p", "2", "--n", "14", "--k", "7",
+      "--json"),
+     "fa530bd3823f7616aec93fb1edf8463484ae6ea1288c36d24f0a9f4ee7e180c9"),
     (("construct", "--family", "ternary", "--p", "5", "--n", "2", "--k", "1",
       "--json"),
      "9ea7404314cdd8b308eb691468c25705fdef6a71eeda72bd5aaa5a2c2e2392da"),

@@ -8,6 +8,7 @@ from sgdecomp.constructions import (
     TERNARY,
     build_A_plus_A,
     build_ternary,
+    frobenius_images,
     subfield_S_d,
     subfield_self_sum,
     subfield_ternary,
@@ -98,6 +99,12 @@ def test_subfield_identification_f_2_4():
     # sanity: members are exactly the fourth powers
     ctx = sub.ctx
     assert set(sub.spec.members.indices()) == {ctx.pow(x, 5) for x in range(1, 16)}
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 4, 2), (2, 6, 3), (5, 3, 1)])
+def test_linear_frobenius_matches_square_and_multiply(p, n, k):
+    ctx = make_field(p, n)
+    assert frobenius_images(ctx, k) == [ctx._raw_pow(x, p**k) for x in range(ctx.q)]
 
 
 def test_subfield_guards():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -17,7 +18,7 @@ from sgdecomp.field import (
     prime_powers,
 )
 
-from oracles import naive_add, naive_mul, naive_pow
+from oracles import digits_index, index_digits, naive_add, naive_mul, naive_pow
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                     53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -181,3 +182,58 @@ def test_field_construction_guards():
 
 def test_make_field_is_cached():
     assert make_field(13, 1) is make_field_q(13)
+
+
+# sha256 of repr((modulus, generator, tuple(exp))), recorded on the
+# polynomial-loop table build; any faster build must reproduce every table.
+GOLDEN_FIELDS = [
+    (2, 16, "c42b18156a0df55e7a914d4fd06fa7cd02764c2ae4ace27dcaeabb4ab2d98958"),
+    (3, 10, "06dbe696617d09cccfefed087a7837d0ad6b5c627af1f5fea7bdccd7ce7aad4b"),
+    (2, 14, "da3967da0f1e8543d83ad8abd183155c8ab6ae5ff7d5bd2866e05149963599e8"),
+    (5, 6, "db659b9b4df36c9d7f89bff286eece2f86ce752b7f59b239087e01e40aa335f6"),
+    (31, 2, "7438b170ac44fb209eebb995988ecf0c7d3366c39a0dc142eb9ead92ce1e19a6"),
+    (7, 4, "577b4d0ced5d249770af81d195ba69a3474fd4df9a50ff947f16835ba79d42d8"),
+]
+
+
+@pytest.mark.parametrize("p,n,digest", GOLDEN_FIELDS,
+                         ids=[f"{p}^{n}" for p, n, _ in GOLDEN_FIELDS])
+def test_golden_field_tables(p, n, digest):
+    ctx = make_field(p, n)
+    text = repr((ctx.modulus, ctx.generator, tuple(ctx.exp)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _naive_neg(x, p, n):
+    return digits_index([(-d) % p for d in index_digits(x, p, n)], p)
+
+
+def _check_add_sub_neg(ctx, pairs):
+    p, n = ctx.p, ctx.n
+    for x, y in pairs:
+        s = ctx.add(x, y)
+        assert s == naive_add(x, y, p, n)
+        assert naive_add(ctx.sub(x, y), y, p, n) == x
+    for x in {x for pair in pairs for x in pair}:
+        assert ctx.neg(x) == _naive_neg(x, p, n)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_extension_add_sub_neg_all_pairs(q):
+    ctx = make_field_q(q)
+    _check_add_sub_neg(ctx, [(x, y) for x in range(q) for y in range(q)])
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)])
+def test_extension_add_sub_neg_random_pairs(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(p * 1000 + n)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(20_000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (1, ctx.neg(1))]
+    _check_add_sub_neg(ctx, pairs)
+
+
+@pytest.mark.parametrize("q", [13, 4, 9, 49, 81, 1 << 16, 3**10])
+def test_add_neg_is_zero(q):
+    ctx = make_field_q(q)
+    assert all(ctx.add(x, ctx.neg(x)) == 0 for x in range(q))

@@ -200,6 +200,16 @@ def test_task_rejects_bad_size_floor_and_budget():
     assert not res.complete and res.kind == UNKNOWN
 
 
+def test_task_arity_must_match_the_search():
+    for arity in (0, 1, 4, 7):
+        with pytest.raises(HypothesisViolated):
+            SearchTask(q=13, d=3, arity=arity)
+    with pytest.raises(HypothesisViolated):
+        search_binary(SearchTask(q=13, d=3, arity=3))
+    with pytest.raises(HypothesisViolated):
+        search_ternary(SearchTask(q=13, d=3))
+
+
 def test_min_part_size_one_allows_translates():
     res = search_binary(SearchTask(q=13, d=3, min_part_size=1))
     assert res.kind == EXISTS
