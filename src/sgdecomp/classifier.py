@@ -114,22 +114,21 @@ def _check_pair(d: int, q: int) -> tuple[int, int]:
     return p, n
 
 
+def _grid_sup(p: int, n: int, exp: PExpansion) -> int | None:
+    # delta = k/20 is good when floor((20-k)(p-1)/20) >= e_max, the largest
+    # e_j with j <= n/2, i.e. when k <= 20 (p-1-e_max)/(p-1); k stops at 19
+    top = max(exp.digit(j) for j in range(n // 2 + 1))
+    k = DELTA_GRID_DEN * (p - 1 - top) // (p - 1)
+    return min(k, DELTA_GRID_DEN - 1) if k >= 1 else None
+
+
 def delta_good_grid_sup(d: int, q: int) -> int | None:
     """Largest k with (d, q) delta-good at delta = k/20, or None.
 
     Grid-monotone by construction: good at k implies good below k.
     """
     p, n = _check_pair(d, q)
-    exp = base_p_digits((q - 1) // d, p)
-    jmax = n // 2  # j < (n+1)/2 for integer j
-    best = None
-    for k in range(1, DELTA_GRID_DEN):
-        cap = ((DELTA_GRID_DEN - k) * (p - 1)) // DELTA_GRID_DEN
-        if all(exp.digit(j) <= cap for j in range(jmax + 1)):
-            best = k
-        else:
-            break
-    return best
+    return _grid_sup(p, n, base_p_digits((q - 1) // d, p))
 
 
 def classify_pair(d: int, q: int) -> PairClass:
@@ -168,30 +167,29 @@ def classify_pair(d: int, q: int) -> PairClass:
             bullets.append(4)
 
     is_good = bool(bullets)
-    sup = delta_good_grid_sup(d, q)
-    verdicts = theorem_verdicts(d, q, _good=is_good, _sup=sup)
+    sup = _grid_sup(p, n, exp)
     return PairClass(
         d=d, q=q, p=p, n=n, expansion=exp, is_good=is_good,
         bullets=tuple(bullets), bullet3_readings_differ=(b3 != b3_alt),
-        bullet3_alt=b3_alt, delta_sup_num=sup, verdicts=verdicts,
+        bullet3_alt=b3_alt, delta_sup_num=sup,
+        verdicts=_verdicts(d, q, p, n, m, is_good, sup),
     )
 
 
-def theorem_verdicts(d: int, q: int, _good: bool | None = None,
-                     _sup: int | None = None) -> tuple[TheoremVerdict, ...]:
+def theorem_verdicts(d: int, q: int) -> tuple[TheoremVerdict, ...]:
     """Hypothesis predicates of every supported statement, with conclusions.
 
     CONDITIONAL entries read their ineffective thresholds at face value
     (constant = 1); their hypotheses never yield an impossibility claim.
     """
-    p, n = _check_pair(d, q)
-    m = (q - 1) // d
-    if _good is None:
-        _good = classify_pair(d, q).is_good
-        _sup = delta_good_grid_sup(d, q)
+    return classify_pair(d, q).verdicts
 
+
+def _verdicts(d: int, q: int, p: int, n: int, m: int, good: bool,
+              sup: int | None) -> tuple[TheoremVerdict, ...]:
     out = []
     small = 3 * m <= 2 * p
+    m_prime = is_prime(m)
     out.append(TheoremVerdict(
         rule="small-subgroup-distinct-sums", applies=small,
         conclusion=DISTINCT_SUMS, tier=PROVED,
@@ -199,13 +197,13 @@ def theorem_verdicts(d: int, q: int, _good: bool | None = None,
                  "has |A||B| = |S_d|, all sums distinct",
         detail={"subgroup_order": m}))
     out.append(TheoremVerdict(
-        rule="small-subgroup-prime-order", applies=small and is_prime(m),
+        rule="small-subgroup-prime-order", applies=small and m_prime,
         conclusion=NO_BINARY_DECOMP, tier=PROVED,
         citation="subgroup of prime size at most 2p/3 is not a sum of two "
                  "sets of size >= 2",
-        detail={"subgroup_order": m, "order_prime": is_prime(m)}))
+        detail={"subgroup_order": m, "order_prime": m_prime}))
     out.append(TheoremVerdict(
-        rule="good-pair-self-sum", applies=_good,
+        rule="good-pair-self-sum", applies=good,
         conclusion=NO_A_PLUS_A, tier=PROVED,
         citation="good pair: S_d is not A + A for any A",
         detail={}))
@@ -244,8 +242,8 @@ def theorem_verdicts(d: int, q: int, _good: bool | None = None,
         detail={"d11": d**11, "q": q}))
 
     best_k = None
-    if _sup is not None:
-        for kk in range(_sup, 0, -1):
+    if sup is not None:
+        for kk in range(sup, 0, -1):
             if d**4 * DELTA_GRID_DEN**6 < q * kk**6:
                 best_k = kk
                 break

@@ -90,7 +90,7 @@ def _verified(spec: ConstructionSpec, ctx: FieldCtx, parts, target: FqSubset,
     return Construction(spec=spec, ctx=ctx, parts=tuple(parts), target=target, d=d)
 
 
-def build_A_plus_A(p: int, n: int, ctx: FieldCtx | None = None) -> Construction:
+def build_A_plus_A(p: int, n: int) -> Construction:
     """A with A + A = F_q^*, built on digit coordinates.  Needs p >= 7.
 
     At p = 5 the recipe genuinely fails ({1,3}+{1,3} misses 3), hence the
@@ -98,8 +98,7 @@ def build_A_plus_A(p: int, n: int, ctx: FieldCtx | None = None) -> Construction:
     """
     if p < 7:
         raise PTooSmall(f"self-sum family needs p >= 7, got {p}")
-    if ctx is None:
-        ctx = make_field(p, n)
+    ctx = make_field(p, n)
     bits = _digit_product_bits(p, n, _self_sum_pattern(p)) & ~1
     a = FqSubset(ctx, bits)
     if a.card != ((p + 1) // 2) ** n - 1:
@@ -108,12 +107,11 @@ def build_A_plus_A(p: int, n: int, ctx: FieldCtx | None = None) -> Construction:
     return _verified(ConstructionSpec(A_PLUS_A, p, n), ctx, (a, a), target, 1)
 
 
-def build_ternary(p: int, n: int, ctx: FieldCtx | None = None) -> Construction:
+def build_ternary(p: int, n: int) -> Construction:
     """(A, B, C) with A + B + C = F_q^* and all sizes >= 2.  Needs p >= 5."""
     if p < 5:
         raise PTooSmall(f"ternary family needs p >= 5, got {p}")
-    if ctx is None:
-        ctx = make_field(p, n)
+    ctx = make_field(p, n)
     ab = FqSubset(ctx, _digit_product_bits(p, n, [0, 1]))
     c = FqSubset(ctx, _digit_product_bits(p, n, _ternary_c_pattern(p)) & ~1)
     target = FqSubset(ctx, ctx.nonzero_mask)
@@ -141,7 +139,7 @@ def frobenius_images(ctx: FieldCtx, k: int) -> list[int]:
                          ctx.p)
 
 
-def subfield_S_d(p: int, n: int, k: int, ctx: FieldCtx | None = None) -> SubfieldSd:
+def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
     """Identify S_d, d = (q-1)/(p^k-1), with F_{p^k}^* two independent ways.
 
     The subgroup side uses the dlog table; the subfield side collects the
@@ -152,8 +150,7 @@ def subfield_S_d(p: int, n: int, k: int, ctx: FieldCtx | None = None) -> Subfiel
     """
     if k < 1 or k >= n or n % k != 0:
         raise NotAProperDivisor(f"k={k} is not a proper divisor of n={n}")
-    if ctx is None:
-        ctx = make_field(p, n)
+    ctx = make_field(p, n)
     d = (ctx.q - 1) // (p**k - 1)
     spec = subgroup(ctx, d)
 
@@ -196,8 +193,7 @@ def _basis_product_bits(ctx: FieldCtx, basis, pattern) -> int:
     return bits
 
 
-def subfield_self_sum(p: int, n: int, k: int,
-                      ctx: FieldCtx | None = None) -> Construction:
+def subfield_self_sum(p: int, n: int, k: int) -> Construction:
     """The full chain S_d = A + A for d = (q-1)/(p^k-1), p >= 7.
 
     Runs the self-sum recipe inside the copy of F_{p^k} cut out by
@@ -205,7 +201,7 @@ def subfield_self_sum(p: int, n: int, k: int,
     """
     if p < 7:
         raise PTooSmall(f"self-sum chain needs p >= 7, got {p}")
-    sub = subfield_S_d(p, n, k, ctx)
+    sub = subfield_S_d(p, n, k)
     ctx = sub.ctx
     bits = _basis_product_bits(ctx, sub.basis, _self_sum_pattern(p)) & ~1
     a = FqSubset(ctx, bits)
@@ -213,12 +209,11 @@ def subfield_self_sum(p: int, n: int, k: int,
                      sub.spec.members, sub.d)
 
 
-def subfield_ternary(p: int, n: int, k: int,
-                     ctx: FieldCtx | None = None) -> Construction:
+def subfield_ternary(p: int, n: int, k: int) -> Construction:
     """The chain S_d = A + B + C for d = (q-1)/(p^k-1), p >= 5."""
     if p < 5:
         raise PTooSmall(f"ternary chain needs p >= 5, got {p}")
-    sub = subfield_S_d(p, n, k, ctx)
+    sub = subfield_S_d(p, n, k)
     ctx = sub.ctx
     ab = FqSubset(ctx, _basis_product_bits(ctx, sub.basis, [0, 1]))
     c = FqSubset(ctx, _basis_product_bits(ctx, sub.basis,

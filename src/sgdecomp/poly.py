@@ -150,8 +150,8 @@ def hyper_derivative(f: FqPolynomial, k: int) -> FqPolynomial:
         if not c:
             continue
         ok, res = lucas_binom_nonzero(j, k, ctx.p)
-        if ok:
-            out[j - k] = ctx.mul(c, res) if ctx.n > 1 else (c * res) % ctx.p
+        if ok:  # res < p is the index of the constant C(j, k) in any F_q
+            out[j - k] = ctx.mul(c, res)
     return FqPolynomial(ctx, _trim(out))
 
 

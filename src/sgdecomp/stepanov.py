@@ -37,8 +37,9 @@ def solve_coefficient_system(ctx: FieldCtx, elems) -> tuple[int, ...]:
     """Coefficients c with sum_i c_i a_i^j = 0 for j < |A|-1 and = 1 at j = |A|-1.
 
     elems must be distinct; the Vandermonde matrix is then invertible and the
-    solution unique.  Solved by Gaussian elimination and re-verified by
-    substitution before returning.
+    solution unique.  It has the closed form c_i = 1 / prod_{j != i}(a_i - a_j)
+    (the weights of the divided difference of x^j on A), and is re-verified
+    by substitution before returning.
     """
     a = list(elems)
     if not a:
@@ -46,27 +47,20 @@ def solve_coefficient_system(ctx: FieldCtx, elems) -> tuple[int, ...]:
     if len(set(a)) != len(a):
         raise DuplicateElements("coefficient system needs distinct elements")
     n = len(a)
-    # rows j = 0..n-1 of the power matrix, augmented with e_{n-1}
-    rows = []
-    for j in range(n):
-        rows.append([ctx.pow(ai, j) for ai in a] + [1 if j == n - 1 else 0])
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ctx.inv(rows[col][col])
-        rows[col] = [ctx.mul(v, inv) for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [ctx.sub(rv, ctx.mul(factor, cv))
-                           for rv, cv in zip(rows[r], rows[col])]
-    c = tuple(rows[j][n] for j in range(n))
+    weights = []
+    for ai in a:
+        denom = 1
+        for aj in a:
+            if aj != ai:
+                denom = ctx.mul(denom, ctx.sub(ai, aj))
+        weights.append(ctx.inv(denom))
+    c = tuple(weights)
     for j in range(n):
         acc = 0
         for ci, ai in zip(c, a):
             acc = ctx.add(acc, ctx.mul(ci, ctx.pow(ai, j)))
         want = 1 if j == n - 1 else 0
-        if acc != want:  # pragma: no cover - elimination is exact
+        if acc != want:  # pragma: no cover - the closed form is exact
             raise InternalProofFailure("coefficient system verification failed")
     return c
 
@@ -125,11 +119,11 @@ def build_certificate(ctx: FieldCtx, a_set: FqSubset, b_set: FqSubset,
     if sumset(a_set, b_set).bits & ~allowed:
         raise HypothesisViolated("A + B leaves S_d union {0}")
 
-    a_elems = tuple(sorted(iter_bits(a_set.bits)))
+    a_elems = tuple(iter_bits(a_set.bits))
     neg_a = negate(a_set)
     overlap_b = intersect(b_set, neg_a)  # b with some a + b = 0
     rest_b = b_set.bits & ~overlap_b.bits
-    b_elems = tuple(sorted(iter_bits(overlap_b.bits))) + tuple(sorted(iter_bits(rest_b)))
+    b_elems = tuple(iter_bits(overlap_b.bits)) + tuple(iter_bits(rest_b))
     r = overlap_b.card
 
     n = len(a_elems)

@@ -98,7 +98,7 @@ def structure_check(cert: StepanovCertificate) -> StructureReport:
     """
     ctx = cert.ctx
     e, order = cert.exponent, cert.subgroup_order
-    top_ok, _ = lucas_binom_nonzero(e, order, ctx.p)
+    top_ok = cert.binom_ok
     second_ok, _ = lucas_binom_nonzero(e, order - 1, ctx.p) if order >= 1 else (True, 1)
     ids = _power_sum_identities(cert)
 

@@ -41,12 +41,6 @@ class FqSubset:
             raise DuplicateElements("repeated element indices")
         return cls(ctx, bits)
 
-    @classmethod
-    def from_bits(cls, ctx: FieldCtx, bits: int) -> "FqSubset":
-        if bits & ~ctx.full_mask:
-            raise ValueError("bits outside the field range")
-        return cls(ctx, bits)
-
     def indices(self) -> list[int]:
         return list(iter_bits(self.bits))
 

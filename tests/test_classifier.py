@@ -1,5 +1,6 @@
 """Digit criteria, the delta grid, and theorem verdicts."""
 
+import hashlib
 import math
 
 import pytest
@@ -19,7 +20,19 @@ from sgdecomp.classifier import (
     theorem_verdicts,
 )
 from sgdecomp.errors import DegenerateD, NotADivisor
-from sgdecomp.field import base_p_digits, factor_prime_power, is_prime
+from sgdecomp.field import (
+    base_p_digits,
+    divisors,
+    factor_prime_power,
+    is_prime,
+    prime_powers,
+)
+from sgdecomp.reports import canonical_json
+
+# sha256 of the canonical JSON of every valid pair with q <= 2000 (3,357
+# pairs): digits, bullets, the delta grid and every verdict
+GOLDEN_CLASSIFY_2000 = (
+    "7f707a9b33bae9aed81c6f68cd1c2edbefb84d39527f19671bbece862c7ac807")
 
 
 def verdict(pc, rule):
@@ -238,3 +251,11 @@ def test_subgroup_order_prime_detail():
     assert v.detail["subgroup_order"] == 3
     assert is_prime(3)
     assert v.applies
+
+
+def test_golden_classification_up_to_2000():
+    rows = [classify_pair(d, q).as_dict() for q, _, _ in prime_powers(2000)
+            for d in divisors(q - 1) if 2 <= d < q - 1]
+    assert len(rows) == 3357
+    text = canonical_json(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CLASSIFY_2000

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from sgdecomp.errors import (
     HypothesisViolated,
 )
 from sgdecomp.field import divisors, make_field_q
+from sgdecomp.reports import canonical_json
 from sgdecomp.stepanov import (
     BOUND_CERTIFIED,
     POLYNOMIAL_FORCED_ZERO,
@@ -20,6 +22,11 @@ from sgdecomp.stepanov import (
 from sgdecomp.subsets import FqSubset, iter_bits, negate, sumset
 
 from oracles import root_multiplicity_by_division
+
+# sha256 of every certificate field over three seeded grown pairs per valid
+# d in F_13, F_49, F_64, F_81, F_121 and F_729 (156 certificates)
+GOLDEN_CERTIFICATES = (
+    "b8c8f067136ae3cee5f9bc1adeb47eaa0b67ff60b1cb2911653d6481f46c4f2b")
 
 
 def test_coefficient_system_identities(f13, f49, rng):
@@ -159,3 +166,28 @@ def test_grow_pair_respects_max_size(f121, rng):
     for _ in range(20):
         a, b = grow_hypothesis_pair(f121, 8, rng, max_size=4)
         assert 1 <= len(a) <= 4 and 1 <= len(b) <= 4
+
+
+def test_golden_certificates():
+    recs = []
+    for q in (13, 49, 64, 81, 121, 729):
+        ctx = make_field_q(q)
+        rng = random.Random(q)
+        for d in _valid_ds(q):
+            for _ in range(3):
+                a, b = grow_hypothesis_pair(ctx, d, rng, max_size=6)
+                cert = build_certificate(ctx, a, b, d)
+                recs.append({
+                    "coefficients": list(cert.coefficients),
+                    "exponent": cert.exponent,
+                    "binom_residue": cert.binom_residue,
+                    "poly": list(cert.poly.coeffs),
+                    "vanishing": [[bb, list(cert.vanishing[bb])]
+                                  for bb in cert.b_elems],
+                    "multiplicity": [[bb, cert.multiplicity[bb]]
+                                     for bb in cert.b_elems],
+                    "cert": cert.as_dict(),
+                })
+    assert len(recs) == 156
+    text = canonical_json(recs)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERTIFICATES
