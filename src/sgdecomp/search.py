@@ -11,13 +11,15 @@ a memo: computing an orbit's key visits every image of it, and the images
 in emission form are stored as bitmasks.  A later emission found there is
 skipped, so each orbit's key is computed once.
 
-Enumeration is cover-driven: parts are grown by branching on which element
-covers the lowest uncovered target point, with tried branches barred from
-later siblings so each solution is produced exactly once.  One grower
-builds every pair of parts: A + B = S_d, or D + C = S_d and then A + B = D.
-One predicate picks the part sizes it tries by theorem-backed rules, each
-toggleable so tests can compare against an unpruned oracle; a pruned size
-counts under the first rule it fails, in this order:
+One grower builds every pair of parts: A + B = S_d, or D + C = S_d and
+then A + B = D.  It grows the smaller part B in ascending order, keeping
+in one pass per node the pool elements b whose translate target - b (built
+once per call) leaves A enough candidates.  A is then enumerated
+cover-driven, branching on which element covers the lowest uncovered
+target point, with tried branches barred from later siblings so each
+solution is produced exactly once.  One predicate picks the part sizes by
+theorem-backed rules, each toggleable so tests can compare against an
+unpruned oracle; a pruned size counts under the first rule it fails:
 
   PRODUCT_LT_Q      A+B inside S_d forces |A||B| < q;
   CAUCHY_DAVENPORT  min(p, |A|+|B|-1) <= |A+B|, so when p > |S_d| a
@@ -232,19 +234,23 @@ def _check_task(task: SearchTask, arity: int, cap: int) -> FieldCtx:
 
 
 def _feasible_sizes(sizes, sb, target, q, p, order, flags, counts):
-    """The |A| in sizes that the rules allow when |B| = sb, |A + B| = target."""
-    lt_q = PRODUCT_LT_Q in flags
+    """The |A| in the range sizes allowed when |B| = sb and |A + B| = target.
+
+    Rows with |A||B| < target cannot cover the target and are not prunes;
+    rows with |A||B| >= q all fail PRODUCT_LT_Q and are counted at once.
+    """
+    lo, hi = max(sizes.start, -(-target // sb)), sizes.stop
+    if PRODUCT_LT_Q in flags:
+        cut = min(hi, max(lo, -(-q // sb)))
+        counts[PRODUCT_LT_Q] += hi - cut
+        hi = cut
     cauchy = CAUCHY_DAVENPORT in flags and p > order
     distinct = DISTINCT_SUMS in flags and 3 * order <= 2 * p
     hanson = HANSON_PETRIDIS in flags
     out = []
-    for sa in sizes:
+    for sa in range(lo, hi):
         prod = sa * sb
-        if prod < target:
-            continue  # cannot cover the target; not a prune
-        if lt_q and prod >= q:
-            counts[PRODUCT_LT_Q] += 1
-        elif cauchy and sa + sb - 1 > order:
+        if cauchy and sa + sb - 1 > order:
             counts[CAUCHY_DAVENPORT] += 1
         elif distinct and prod != target:
             counts[DISTINCT_SUMS] += 1
@@ -329,47 +335,39 @@ def _cover_enum(ctx, other_bits, cand_bits, target_bits, forced_bits,
 
 
 def _enum_second_parts(ctx, target_bits, first_forced, first_pool,
-                       size_pairs, gas, sink, shift_cache):
+                       size_pairs, gas, sink):
     """Grow the smaller part B (forced element first), then enumerate A.
 
     target_bits is what A + B must equal; B lives in first_pool and starts
     from first_forced (index 1 when the target is S_d, 0 for split targets).
     size_pairs maps |B| to the allowed |A|; sink receives (a_bits, b_bits).
     """
+    if not size_pairs:
+        return
+    pool = [b for b in iter_bits(first_pool) if b > first_forced]
+    shifts = [ctx.translate_bits(target_bits, ctx.neg(b)) for b in pool]
+    n = len(pool)
+    base_cand = ctx.translate_bits(target_bits, ctx.neg(first_forced))
     for sb in sorted(size_pairs):
         sizes_a = size_pairs[sb]
         min_a = min(sizes_a)
 
-        def grow(b_bits, pool, cand_a, cnt):
+        def grow(b_bits, j, cand_a, cnt):
             gas.tick()
             if cnt == sb:
                 _cover_enum(ctx, b_bits, cand_a, target_bits, 1,
                             sizes_a, gas,
                             lambda a_bits: sink(a_bits, b_bits))
                 return
-            if pool.bit_count() < sb - cnt:
+            if n - j < sb - cnt:
                 return
-            rest = pool
-            while rest:
-                low = rest & -rest
-                b = low.bit_length() - 1
-                rest &= rest - 1
-                shifted = shift_cache.get(b)
-                if shifted is None:
-                    shifted = ctx.translate_bits(target_bits, ctx.neg(b))
-                    shift_cache[b] = shifted
-                nxt = cand_a & shifted
-                if nxt.bit_count() < min_a:
-                    continue
-                grow(b_bits | low, rest, nxt, cnt + 1)
+            # indices only: pending frames hold no masks; kept ANDs are redone
+            kids = [i for i in range(j, n)
+                    if (cand_a & shifts[i]).bit_count() >= min_a]
+            for i in kids:
+                grow(b_bits | 1 << pool[i], i + 1, cand_a & shifts[i], cnt + 1)
 
-        start = first_forced
-        start_bit = 1 << start
-        base_cand = shift_cache.get(start)
-        if base_cand is None:
-            base_cand = ctx.translate_bits(target_bits, ctx.neg(start))
-            shift_cache[start] = base_cand
-        grow(start_bit, first_pool & ~((start_bit << 1) - 1), base_cand, 1)
+        grow(1 << first_forced, 0, base_cand, 1)
 
 
 def search_binary(task: SearchTask) -> SearchResult:
@@ -399,7 +397,7 @@ def search_binary(task: SearchTask) -> SearchResult:
 
     complete = True
     try:
-        _enum_second_parts(ctx, s_bits, 1, s_bits, pairs, gas, sink, {})
+        _enum_second_parts(ctx, s_bits, 1, s_bits, pairs, gas, sink)
     except _BudgetExceeded:
         complete = False
 
@@ -443,8 +441,7 @@ def search_ternary(task: SearchTask) -> SearchResult:
             pairs = split_cache[sizes] = _size_pairs(
                 max(min_sz, sizes[0]), sizes[1], *rules)
         _enum_second_parts(ctx, d_bits, 0, d_bits, pairs, gas,
-                           lambda a_bits, b_bits: record(a_bits, b_bits, c_bits),
-                           {})
+                           lambda a_bits, b_bits: record(a_bits, b_bits, c_bits))
 
     complete = True
     split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
@@ -456,7 +453,7 @@ def search_ternary(task: SearchTask) -> SearchResult:
                        if sd >= sc]
             if d_sizes:
                 _enum_second_parts(ctx, s_bits, 1, s_bits, {sc: d_sizes}, gas,
-                                   on_d, {})
+                                   on_d)
     except _BudgetExceeded:
         complete = False
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInput, InternalProofFailure
+from .characters import subgroup
+from .errors import EmptyInput, HypothesisViolated, InternalProofFailure
 from .field import FieldCtx, lucas_binom_nonzero
 from .stepanov import StepanovCertificate
+from .subsets import FqSubset, sumset
 
 
 def complete_homogeneous(ctx: FieldCtx, elems, kmax: int) -> tuple[int, ...]:
@@ -94,9 +96,15 @@ def structure_check(cert: StepanovCertificate) -> StructureReport:
 
     If f = 0 the two leading binomials of the collapse must both vanish
     mod p unless |A||B| already equals |S_d|.  For a nonzero f the report
-    simply records the binomials and identity samples.
+    simply records the binomials and identity samples.  As in
+    zero_polynomial_dichotomy, A + B = S_d exactly is a precondition; a
+    certificate for any other pair raises HypothesisViolated.
     """
     ctx = cert.ctx
+    a_set = FqSubset.from_indices(ctx, cert.a_elems)
+    b_set = FqSubset.from_indices(ctx, cert.b_elems)
+    if sumset(a_set, b_set).bits != subgroup(ctx, cert.d).members.bits:
+        raise HypothesisViolated("A + B is not exactly S_d")
     e, order = cert.exponent, cert.subgroup_order
     top_ok = cert.binom_ok
     second_ok, _ = lucas_binom_nonzero(e, order - 1, ctx.p) if order >= 1 else (True, 1)

@@ -158,6 +158,39 @@ def sumset_mask(a_bits: int, b_bits: int, add) -> int:
     return out
 
 
+def _tiling_forced(size: int, order: int, p: int) -> bool:
+    return math.comb(size - 1 + order, order) % p != 0
+
+
+def feasible_sizes_rowwise(sizes, sb, target, q, p, order, flags, counts):
+    """The size-feasibility predicate, every row tested against every rule.
+
+    No closed-form cut-offs: each |A| in sizes is checked in turn.  The rule
+    names are the search's flag strings.
+    """
+    lt_q = "PRODUCT_LT_Q" in flags
+    cauchy = "CAUCHY_DAVENPORT" in flags and p > order
+    distinct = "DISTINCT_SUMS" in flags and 3 * order <= 2 * p
+    hanson = "HANSON_PETRIDIS" in flags
+    out = []
+    for sa in sizes:
+        prod = sa * sb
+        if prod < target:
+            continue  # cannot cover the target; not a prune
+        if lt_q and prod >= q:
+            counts["PRODUCT_LT_Q"] += 1
+        elif cauchy and sa + sb - 1 > order:
+            counts["CAUCHY_DAVENPORT"] += 1
+        elif distinct and prod != target:
+            counts["DISTINCT_SUMS"] += 1
+        elif hanson and prod > order and (
+                _tiling_forced(sa, order, p) or _tiling_forced(sb, order, p)):
+            counts["HANSON_PETRIDIS"] += 1
+        else:
+            out.append(sa)
+    return out
+
+
 def _subsets_with(base: int, pool, visit):
     """DFS over all supersets of base using elements of pool (a list)."""
 

@@ -12,8 +12,10 @@ from sgdecomp.reports import canonical_json
 from sgdecomp.search import (
     CAUCHY_DAVENPORT,
     DEFAULT_PRUNES,
+    DISTINCT_SUMS,
     EXISTS,
     NONE_EXHAUSTIVE,
+    PRODUCT_LT_Q,
     UNKNOWN,
     SearchTask,
     canonical_binary_key,
@@ -27,6 +29,7 @@ from sgdecomp.subsets import FqSubset
 from oracles import (
     brute_binary_solutions,
     brute_ternary_solutions,
+    feasible_sizes_rowwise,
     orbit_count,
     sumset_mask,
 )
@@ -210,6 +213,33 @@ def test_task_arity_must_match_the_search():
         search_ternary(SearchTask(q=13, d=3))
 
 
+def test_feasible_sizes_match_rowwise_oracle():
+    # (q, p, order) with order | q - 1, plus targets below order as in the
+    # ternary splits; every flag subset, every size floor and |B|
+    fields = [(7, 7, 3), (13, 13, 4), (25, 5, 6), (27, 3, 13), (49, 7, 8),
+              (61, 61, 30), (64, 2, 7), (103, 103, 51), (121, 11, 12),
+              (125, 5, 31), (169, 13, 28), (343, 7, 57)]
+    rules = sorted(DEFAULT_PRUNES)
+    subsets = [frozenset(r for i, r in enumerate(rules) if mask >> i & 1)
+               for mask in range(16)]
+    for q, p, order in fields:
+        for target in sorted({order, max(1, order // 2), max(1, order - 3)}):
+            for lo in (1, 2, 3, target):
+                for sb in range(1, target + 2):
+                    for hi in (target + 1, order + 1):
+                        for flags in subsets:
+                            got_counts = {r: 0 for r in rules}
+                            want_counts = {r: 0 for r in rules}
+                            got = search_mod._feasible_sizes(
+                                range(lo, hi), sb, target, q, p, order,
+                                flags, got_counts)
+                            want = feasible_sizes_rowwise(
+                                range(lo, hi), sb, target, q, p, order,
+                                flags, want_counts)
+                            assert (got, got_counts) == (want, want_counts), \
+                                (q, order, target, lo, sb, hi, sorted(flags))
+
+
 def test_min_part_size_one_allows_translates():
     res = search_binary(SearchTask(q=13, d=3, min_part_size=1))
     assert res.kind == EXISTS
@@ -258,6 +288,18 @@ GOLDEN_DIGESTS = [
      "bf67e0e35cf411cca439aded4bafc8b39a42259c6763881cf0fa161733281ec5"),
     (search_binary, SearchTask(q=409, d=2, budget=2000),  # UNKNOWN
      "314ce4c2c96ac2c802940aa9db098820df7e3bdd76187ce8c62bf13d11c22fa6"),
+    # a deeper budget reaches lower levels of the B grower
+    (search_binary, SearchTask(q=491, d=2, budget=20000),
+     "adf18c923e2b58abe3304c0723cac58c68f329dde7b1dbf35a4df0eeff9c35c6"),
+    # |C| = 1 and |B| = 1 splits
+    (search_ternary, SearchTask(q=61, d=2, arity=3, min_part_size=1, budget=3000),
+     "1ce5d660db19d9a0a40a883cc754ab9702134f4b417143dbf398b4176a68a680"),
+    (search_binary, SearchTask(q=397, d=2, budget=2000,
+                               prune_flags=DEFAULT_PRUNES - {DISTINCT_SUMS}),
+     "f303c8c20bd3369ebc7b040f0d1d8007340708f946c7161e190c962590251f3f"),
+    (search_binary, SearchTask(q=443, d=2, budget=2000,
+                               prune_flags=frozenset({PRODUCT_LT_Q})),
+     "5b3511b0299809c874c5ed1a8cecaa64b8f255e24f557473e352c1228b19c0f0"),
 ]
 
 

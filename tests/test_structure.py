@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sgdecomp.errors import EmptyInput
+from sgdecomp.errors import EmptyInput, HypothesisViolated
 from sgdecomp.field import make_field_q
 from sgdecomp.stepanov import build_certificate, grow_hypothesis_pair
 from sgdecomp.structure import (
@@ -71,6 +71,17 @@ def test_structure_report_nonzero_branch(f13):
     assert not rep.poly_is_zero
     assert rep.product_equals_order
     assert rep.binom_top[2] is True
+
+
+def test_structure_check_rejects_inexact_pairs():
+    # F_243, d=121: A + B lies in S_d union {0} and f = 0, but A + B is not
+    # S_d, so the dichotomy does not apply; C(E, M - 1) is nonzero here
+    ctx = make_field_q(243)
+    cert = build_certificate(ctx, FqSubset.from_indices(ctx, (132, 133, 134)),
+                             FqSubset.from_indices(ctx, (228,)), 121)
+    assert cert.poly.is_zero and cert.product != cert.subgroup_order
+    with pytest.raises(HypothesisViolated, match="not exactly S_d"):
+        structure_check(cert)
 
 
 def test_generalized_vandermonde_factorization(f13, f49, rng):
