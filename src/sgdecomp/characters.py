@@ -22,8 +22,8 @@ from .field import DLOG_UNDEFINED, FieldCtx
 from .subsets import FqSubset, _require_nonempty, _same_ctx, iter_bits, sumset
 
 
-def _check_d(ctx: FieldCtx, d: int, allow_one: bool = True) -> None:
-    if d < 1 or (d == 1 and not allow_one):
+def _check_d(ctx: FieldCtx, d: int) -> None:
+    if d < 1:
         raise DegenerateD(f"d={d} out of range")
     if (ctx.q - 1) % d != 0:
         raise NotADivisor(f"d={d} does not divide q-1={ctx.q - 1}")

@@ -415,9 +415,13 @@ def _selftest_battery(seed: int) -> list[dict]:
 def _walk_witnesses(node, found):
     if isinstance(node, dict):
         if "witnesses" in node and "q" in node and "d" in node:
-            for w in node["witnesses"]:
+            witnesses = node["witnesses"]
+            if not isinstance(witnesses, list):
+                witnesses = [None]  # replays as one malformed witness
+            for w in witnesses:
+                parts = w.get("parts") if isinstance(w, dict) else None
                 found.append((node["q"], node["d"],
-                              node.get("min_part_size", 2), w["parts"]))
+                              node.get("min_part_size", 2), parts))
         elif "parts" in node and "q" in node and "d" in node:
             found.append((node["q"], node["d"], 2, node["parts"]))
         for v in node.values():
@@ -427,17 +431,31 @@ def _walk_witnesses(node, found):
             _walk_witnesses(v, found)
 
 
+def _replay_ok(q, d, min_size, parts) -> bool:
+    """Whether one witness read from a report verifies; malformed is False."""
+    if not all(type(v) is int for v in (q, d, min_size)):
+        return False
+    try:
+        ctx = make_field_q(q)
+    except SgdecompError:
+        return False
+    return verify_witness(ctx, parts, d, min_size)
+
+
 def _cmd_selftest(args):
     if args.replay:
         import json as _json
-        with open(args.replay, encoding="utf-8") as fh:
-            report = _json.load(fh)
+        try:
+            with open(args.replay, encoding="utf-8") as fh:
+                report = _json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SgdecompError(f"cannot read report {args.replay}: {exc}") from exc
         found = []
         _walk_witnesses(report, found)
         replayed = []
         ok_all = True
         for q, d, min_size, parts in found:
-            ok = verify_witness(make_field_q(q), parts, d, min_size)
+            ok = _replay_ok(q, d, min_size, parts)
             ok_all &= ok
             replayed.append({"q": q, "d": d, "parts": parts, "ok": ok})
         results = {"mode": "replay", "witnesses": replayed,

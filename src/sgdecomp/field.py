@@ -393,7 +393,8 @@ class FieldCtx:
         order = q - 1
         rs = prime_factors(order) if order > 1 else []
         gen = None
-        for cand in range(1, q):
+        # constants have order dividing p - 1, so none is primitive when n > 1
+        for cand in range(p if n > 1 else 1, q):
             if all(self._raw_pow(cand, order // r) != 1 for r in rs):
                 gen = cand
                 break

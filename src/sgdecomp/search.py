@@ -144,6 +144,10 @@ def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool
     d = 1 (the whole of F_q^*) is allowed here even though the searches
     exclude it.  Errors from outside the library's input checks propagate.
     """
+    if not isinstance(parts, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and all(type(x) is int for x in p)
+            for p in parts):
+        return False
     try:
         subs = [FqSubset.from_indices(ctx, p) for p in parts]
     except (SgdecompError, ValueError):
@@ -218,21 +222,6 @@ def _tiling_forced(size: int, order: int, p: int) -> bool:
     return ok
 
 
-def _check_task(task: SearchTask, arity: int, cap: int) -> FieldCtx:
-    if task.arity != arity:
-        raise HypothesisViolated(
-            f"an arity-{task.arity} task given to the arity-{arity} search")
-    if task.q > cap:
-        raise FieldTooLargeForExhaustive(
-            f"exhaustive mode needs q <= {cap}, got {task.q}")
-    ctx = make_field_q(task.q)
-    if task.d < 2 or task.d >= task.q - 1:
-        raise DegenerateD(f"d={task.d} out of range for q={task.q}")
-    if (task.q - 1) % task.d != 0:
-        raise NotADivisor(f"d={task.d} does not divide {task.q - 1}")
-    return ctx
-
-
 def _feasible_sizes(sizes, sb, target, q, p, order, flags, counts):
     """The |A| in the range sizes allowed when |B| = sb and |A + B| = target.
 
@@ -273,28 +262,19 @@ def _size_pairs(lo, target, q, p, order, flags, counts):
     return out
 
 
-def _cover_enum(ctx, other_bits, cand_bits, target_bits, forced_bits,
-                sizes, gas, sink):
-    """All X with forced <= X <= cand and X + other = target, |X| in sizes.
+def _cover_enum(ctx, other_bits, cand_bits, target_bits, sizes, gas, sink):
+    """All X with 0 in X <= cand and X + other = target, |X| in sizes.
 
-    Branches on the covering element of the lowest uncovered target point;
-    tried candidates are barred from sibling subtrees, so every solution is
-    emitted exactly once.  After full coverage, supersets are enumerated
-    when larger sizes are allowed.
+    Both callers keep 0 in cand and other inside target, so X = {0} covers
+    other.  Branches on the covering element of the lowest uncovered target
+    point; tried candidates are barred from sibling subtrees, so every
+    solution is emitted exactly once.  After full coverage, supersets are
+    enumerated when larger sizes are allowed.
     """
-    if forced_bits & ~cand_bits:
-        return
     size_set = set(sizes)
     max_size = max(sizes)
     other = list(iter_bits(other_bits))
     m = len(other)
-
-    covered = 0
-    for a in iter_bits(forced_bits):
-        covered |= ctx.translate_bits(other_bits, a)
-    if covered & ~target_bits:
-        return
-    count = forced_bits.bit_count()
 
     def extras(chosen, avail, cnt):
         gas.tick()
@@ -331,20 +311,19 @@ def _cover_enum(ctx, other_bits, cand_bits, target_bits, forced_bits,
                 continue
             rec(chosen | bit, covered | add, avail, cnt + 1)
 
-    rec(forced_bits, covered, cand_bits & ~forced_bits, count)
+    rec(1, other_bits, cand_bits & ~1, 1)
 
 
-def _enum_second_parts(ctx, target_bits, first_forced, first_pool,
-                       size_pairs, gas, sink):
+def _enum_second_parts(ctx, target_bits, first_forced, size_pairs, gas, sink):
     """Grow the smaller part B (forced element first), then enumerate A.
 
-    target_bits is what A + B must equal; B lives in first_pool and starts
+    target_bits is what A + B must equal; B lives in target_bits and starts
     from first_forced (index 1 when the target is S_d, 0 for split targets).
     size_pairs maps |B| to the allowed |A|; sink receives (a_bits, b_bits).
     """
     if not size_pairs:
         return
-    pool = [b for b in iter_bits(first_pool) if b > first_forced]
+    pool = [b for b in iter_bits(target_bits) if b > first_forced]
     shifts = [ctx.translate_bits(target_bits, ctx.neg(b)) for b in pool]
     n = len(pool)
     base_cand = ctx.translate_bits(target_bits, ctx.neg(first_forced))
@@ -355,8 +334,7 @@ def _enum_second_parts(ctx, target_bits, first_forced, first_pool,
         def grow(b_bits, j, cand_a, cnt):
             gas.tick()
             if cnt == sb:
-                _cover_enum(ctx, b_bits, cand_a, target_bits, 1,
-                            sizes_a, gas,
+                _cover_enum(ctx, b_bits, cand_a, target_bits, sizes_a, gas,
                             lambda a_bits: sink(a_bits, b_bits))
                 return
             if n - j < sb - cnt:
@@ -370,34 +348,66 @@ def _enum_second_parts(ctx, target_bits, first_forced, first_pool,
         grow(1 << first_forced, 0, base_cand, 1)
 
 
-def search_binary(task: SearchTask) -> SearchResult:
-    """All S_d = A + B up to symmetry, or a certified absence.
-
-    Representatives have 0 in A (so B lands inside S_d), min(B) = 1 via
-    dilation, and |B| <= |A| via the swap.
-    """
-    ctx = _check_task(task, 2, BINARY_Q_CAP)
-    order = (task.q - 1) // task.d
-    s_bits = subgroup(ctx, task.d).members.bits
+def _search(task: SearchTask, arity: int) -> SearchResult:
+    """The search shared by both arities; see the public entry points."""
+    if task.arity != arity:
+        raise HypothesisViolated(
+            f"an arity-{task.arity} task given to the arity-{arity} search")
+    q, d, min_sz = task.q, task.d, task.min_part_size
+    cap = BINARY_Q_CAP if arity == 2 else TERNARY_Q_CAP
+    if q > cap:
+        raise FieldTooLargeForExhaustive(
+            f"exhaustive mode needs q <= {cap}, got {q}")
+    ctx = make_field_q(q)
+    if d < 2 or d >= q - 1:
+        raise DegenerateD(f"d={d} out of range for q={q}")
+    if (q - 1) % d != 0:
+        raise NotADivisor(f"d={d} does not divide {q - 1}")
+    order = (q - 1) // d
+    s_bits = subgroup(ctx, d).members.bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
-    pairs = _size_pairs(task.min_part_size, order, task.q, ctx.p, order,
-                        task.prune_flags, counts)
+    rules = (q, ctx.p, order, task.prune_flags, counts)
     gas = _Gas(task.budget)
     found = {}
     seen = set()  # emission-form images of the orbits in found
 
-    def sink(a_bits, b_bits):
-        if a_bits | b_bits << task.q in seen:
+    def record(*parts_bits):
+        packed = 0
+        for bits in reversed(parts_bits):  # part i at bit offset i * q
+            packed = packed << q | bits
+        if packed in seen:
             return
-        a_idx = tuple(iter_bits(a_bits))
-        b_idx = tuple(iter_bits(b_bits))
-        key = canonical_binary_key(ctx, task.d, a_idx, b_idx, seen)
+        parts = tuple(tuple(iter_bits(bits)) for bits in parts_bits)
+        if arity == 2:
+            key = canonical_binary_key(ctx, d, *parts, seen)
+        else:
+            key = canonical_ternary_key(ctx, d, parts, seen)
         if key not in found:
-            found[key] = DecompWitness(parts=(a_idx, b_idx), canonical_key=key)
+            found[key] = DecompWitness(parts=parts, canonical_key=key)
+
+    def on_d(d_bits, c_bits):
+        sizes = (c_bits.bit_count(), d_bits.bit_count())
+        pairs = split_cache.get(sizes)
+        if pairs is None:
+            pairs = split_cache[sizes] = _size_pairs(
+                max(min_sz, sizes[0]), sizes[1], *rules)
+        _enum_second_parts(ctx, d_bits, 0, pairs, gas,
+                           lambda a_bits, b_bits: record(a_bits, b_bits, c_bits))
 
     complete = True
+    split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
     try:
-        _enum_second_parts(ctx, s_bits, 1, s_bits, pairs, gas, sink)
+        if arity == 2:
+            _enum_second_parts(ctx, s_bits, 1, _size_pairs(min_sz, order, *rules),
+                               gas, record)
+        else:
+            for sc in range(min_sz, order + 1):
+                # both split parts are at least as large as C
+                d_sizes = [sd for sd in _feasible_sizes(range(min_sz, order + 1),
+                                                        sc, order, *rules)
+                           if sd >= sc]
+                if d_sizes:
+                    _enum_second_parts(ctx, s_bits, 1, {sc: d_sizes}, gas, on_d)
     except _BudgetExceeded:
         complete = False
 
@@ -405,6 +415,15 @@ def search_binary(task: SearchTask) -> SearchResult:
     kind = EXISTS if witnesses else (NONE_EXHAUSTIVE if complete else UNKNOWN)
     return SearchResult(task=task, kind=kind, witnesses=witnesses,
                         complete=complete, nodes=gas.nodes, prune_counts=counts)
+
+
+def search_binary(task: SearchTask) -> SearchResult:
+    """All S_d = A + B up to symmetry, or a certified absence.
+
+    Representatives have 0 in A (so B lands inside S_d), min(B) = 1 via
+    dilation, and |B| <= |A| via the swap.
+    """
+    return _search(task, 2)
 
 
 def search_ternary(task: SearchTask) -> SearchResult:
@@ -416,48 +435,4 @@ def search_ternary(task: SearchTask) -> SearchResult:
     through the pairs (A, B + C) and (B, A + C), whose sumsets are at least
     as large as each part.
     """
-    ctx = _check_task(task, 3, TERNARY_Q_CAP)
-    order = (task.q - 1) // task.d
-    s_bits = subgroup(ctx, task.d).members.bits
-    counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
-    gas = _Gas(task.budget)
-    found = {}
-    seen = set()  # emission-form images of the orbits in found
-    min_sz = task.min_part_size
-    rules = (task.q, ctx.p, order, task.prune_flags, counts)
-
-    def record(a_bits, b_bits, c_bits):
-        if a_bits | b_bits << task.q | c_bits << 2 * task.q in seen:
-            return
-        parts = tuple(tuple(iter_bits(bits)) for bits in (a_bits, b_bits, c_bits))
-        key = canonical_ternary_key(ctx, task.d, parts, seen)
-        if key not in found:
-            found[key] = DecompWitness(parts=parts, canonical_key=key)
-
-    def on_d(d_bits, c_bits):
-        sizes = (c_bits.bit_count(), d_bits.bit_count())
-        pairs = split_cache.get(sizes)
-        if pairs is None:
-            pairs = split_cache[sizes] = _size_pairs(
-                max(min_sz, sizes[0]), sizes[1], *rules)
-        _enum_second_parts(ctx, d_bits, 0, d_bits, pairs, gas,
-                           lambda a_bits, b_bits: record(a_bits, b_bits, c_bits))
-
-    complete = True
-    split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
-    try:
-        for sc in range(min_sz, order + 1):
-            # both split parts are at least as large as C
-            d_sizes = [sd for sd in _feasible_sizes(range(min_sz, order + 1),
-                                                    sc, order, *rules)
-                       if sd >= sc]
-            if d_sizes:
-                _enum_second_parts(ctx, s_bits, 1, s_bits, {sc: d_sizes}, gas,
-                                   on_d)
-    except _BudgetExceeded:
-        complete = False
-
-    witnesses = tuple(found[k] for k in sorted(found))
-    kind = EXISTS if witnesses else (NONE_EXHAUSTIVE if complete else UNKNOWN)
-    return SearchResult(task=task, kind=kind, witnesses=witnesses,
-                        complete=complete, nodes=gas.nodes, prune_counts=counts)
+    return _search(task, 3)

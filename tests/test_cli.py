@@ -261,6 +261,36 @@ def test_selftest_replay(capsys, tmp_path, monkeypatch):
     assert replay["results"]["all_ok"] is False
 
 
+@pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "invalid-json"])
+def test_selftest_replay_unreadable_report(capsys, tmp_path, text):
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "selftest", "--replay", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read report")
+
+
+@pytest.mark.parametrize("witness", [
+    {"q": 49, "d": 8, "parts": [["1", 2, 4], [1, 2, 4]]},  # string index
+    {"q": 49, "d": 8, "parts": [[1.0, 2, 4], [1, 2, 4]]},  # float index
+    {"q": 49, "d": 8, "parts": 5},  # parts not a list
+    {"q": "49", "d": 8, "parts": [[1, 2, 4], [1, 2, 4]]},  # string q
+], ids=["string-index", "float-index", "parts-not-list", "string-q"])
+def test_selftest_replay_malformed_witness(capsys, tmp_path, witness):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"results": witness}))
+    code, replay, _ = run_json(capsys, "selftest", "--replay", str(path))
+    assert code == 1
+    assert replay["results"]["all_ok"] is False
+    assert [w["ok"] for w in replay["results"]["witnesses"]] == [False]
+    witness["q"] = 49
+    witness["parts"] = [[1, 2, 4], [1, 2, 4]]  # the same witness, well formed
+    path.write_text(json.dumps({"results": witness}))
+    code, replay, _ = run_json(capsys, "selftest", "--replay", str(path))
+    assert code == 0 and replay["results"]["all_ok"] is True
+
+
 # sha256 of stdout, recorded before the size-rule, identity-check and
 # --threads deletions; charsum is left out because its floats come from libm.
 GOLDEN_CLI = [

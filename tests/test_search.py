@@ -59,6 +59,9 @@ def test_verify_witness():
     # malformed input reads as invalid, not as an error
     assert not verify_witness(ctx, ((1, 2, 49), (1, 2, 4)), 8)  # out of range
     assert not verify_witness(ctx, ((1, 1, 2), (1, 2, 4)), 8)  # repeats
+    for parts in (5, None, "ab", ((1.0, 2, 4), (1, 2, 4)),
+                  (("1", 2, 4), (1, 2, 4)), ((1, 2, 4), 7)):
+        assert not verify_witness(ctx, parts, 8)  # not sequences of ints
 
 
 def test_verify_witness_propagates_library_bugs(monkeypatch):
