@@ -11,15 +11,17 @@ a memo: computing an orbit's key visits every image of it, and the images
 in emission form are stored as bitmasks.  A later emission found there is
 skipped, so each orbit's key is computed once.
 
-One grower builds every pair of parts: A + B = S_d, or D + C = S_d and
-then A + B = D.  It grows the smaller part B in ascending order, keeping
-in one pass per node the pool elements b whose translate target - b (built
-once per call) leaves A enough candidates.  A is then enumerated
-cover-driven, branching on which element covers the lowest uncovered
-target point, with tried branches barred from later siblings so each
-solution is produced exactly once.  One predicate picks the part sizes by
-theorem-backed rules, each toggleable so tests can compare against an
-unpruned oracle; a pruned size counts under the first rule it fails:
+One search routine serves both arities, and one grower builds every pair
+of parts: A + B = S_d, or D + C = S_d and then A + B = D.  It grows the
+smaller part B in ascending order, keeping in one pass per node the pool
+elements b whose translate target - b (built once per call) leaves A
+enough candidates.  A is then enumerated cover-driven, branching on which
+element covers the lowest uncovered target point, with tried branches
+barred from later siblings so each solution is produced exactly once.  One
+predicate picks the part sizes by theorem-backed rules, each toggleable so
+tests can compare against an unpruned oracle; a pruned size counts under
+the first rule it fails, and rows the size order excludes (|B| > |A|, or
+|C| > |D| at the first ternary level) are never counted:
 
   PRODUCT_LT_Q      A+B inside S_d forces |A||B| < q;
   CAUCHY_DAVENPORT  min(p, |A|+|B|-1) <= |A+B|, so when p > |S_d| a
@@ -30,7 +32,8 @@ unpruned oracle; a pruned size counts under the first rule it fails:
 
 A budget caps visited nodes.  A truncated run never claims exhaustiveness:
 with witnesses it reports EXISTS (complete=False), without any it reports
-UNKNOWN, never NONE_EXHAUSTIVE.
+UNKNOWN, never NONE_EXHAUSTIVE.  Its prune counts cover the whole
+first-level table but only the ternary split tables it reached.
 """
 
 from __future__ import annotations
@@ -385,7 +388,10 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
         if key not in found:
             found[key] = DecompWitness(parts=parts, canonical_key=key)
 
+    split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
+
     def on_d(d_bits, c_bits):
+        # split D = A + B; both parts are at least as large as C
         sizes = (c_bits.bit_count(), d_bits.bit_count())
         pairs = split_cache.get(sizes)
         if pairs is None:
@@ -395,19 +401,10 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
                            lambda a_bits, b_bits: record(a_bits, b_bits, c_bits))
 
     complete = True
-    split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
     try:
-        if arity == 2:
-            _enum_second_parts(ctx, s_bits, 1, _size_pairs(min_sz, order, *rules),
-                               gas, record)
-        else:
-            for sc in range(min_sz, order + 1):
-                # both split parts are at least as large as C
-                d_sizes = [sd for sd in _feasible_sizes(range(min_sz, order + 1),
-                                                        sc, order, *rules)
-                           if sd >= sc]
-                if d_sizes:
-                    _enum_second_parts(ctx, s_bits, 1, {sc: d_sizes}, gas, on_d)
+        # the pairs (A, B), or for three parts (D, C) with D split by on_d
+        _enum_second_parts(ctx, s_bits, 1, _size_pairs(min_sz, order, *rules),
+                           gas, record if arity == 2 else on_d)
     except _BudgetExceeded:
         complete = False
 

@@ -43,7 +43,7 @@ def test_version_skew_is_a_miss(monkeypatch, tmp_path):
     key = cache_key(13, 1, (0, 1), "search", {"d": 3})
     cache_put(key, {"v": 1})
     assert cache_get(key) == {"v": 1}
-    monkeypatch.setattr(cache_mod, "CACHE_VERSION", 2)
+    monkeypatch.setattr(cache_mod, "CACHE_VERSION", cache_mod.CACHE_VERSION + 1)
     assert cache_get(key) is None
 
 

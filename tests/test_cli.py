@@ -324,8 +324,9 @@ GOLDEN_CLI = [
      "9b8ff8e5e74d2e33ef922609e88e695847784be8b3cd41cf2c890d13496eafbf"),
     (("search", "--q", "13", "--d", "3", "--no-cache", "--json"),
      "8a74d72fe5a8666e626986b30a2faf4e37f7dedb7211ed2aeb7d2325aca3171a"),
+    # re-recorded when ternary prune counts stopped counting rows |D| < |C|
     (("search", "--q", "49", "--d", "8", "--arity", "3", "--no-cache", "--json"),
-     "ae1fd5fce4675c0e2382dc73aa20f04caa79fd90019762453eb7ab6e9d0511fd"),
+     "61972287fa4d7b8e73398b5aed22be8adcc4700857f6a5126aed1ae316bfbc60"),
 ]
 
 

@@ -181,6 +181,24 @@ def test_prune_counters_recorded():
     assert any(v > 0 for v in res.prune_counts.values())
 
 
+@pytest.mark.parametrize("q", [29, 31])
+def test_ternary_prune_counts_skip_rows_the_size_order_excludes(q):
+    # no D + C = S_d exists here, so only the first-level table is counted;
+    # its rows |C| have |D| in [|C|, |S_d|], since rows with |D| < |C| are
+    # excluded by the size order, not by a rule
+    order = (q - 1) // 2
+    counts = {r: 0 for r in sorted(DEFAULT_PRUNES)}
+    for sc in range(2, order + 1):
+        feasible_sizes_rowwise(range(sc, order + 1), sc, order, q, q, order,
+                               DEFAULT_PRUNES, counts)
+    res = search_ternary(SearchTask(q=q, d=2, arity=3))
+    assert res.kind == NONE_EXHAUSTIVE and res.complete
+    assert res.prune_counts == counts
+    if q == 31:
+        assert counts == {CAUCHY_DAVENPORT: 1, DISTINCT_SUMS: 18,
+                          "HANSON_PETRIDIS": 0, PRODUCT_LT_Q: 77}
+
+
 def test_size_caps():
     with pytest.raises(FieldTooLargeForExhaustive):
         search_binary(SearchTask(q=8192, d=3))
@@ -265,6 +283,9 @@ def test_oracle_self_check():
 # of the search (the first five before the orbit-key memo, the rest before
 # the size rules were merged into one predicate); witnesses, keys, node and
 # prune counts must stay byte-identical under any refactor or speed-up.
+# The three ternary digests at (49, 8), (61, 2) and (61, 2) min size 1 were
+# re-recorded when the ternary first-level table stopped counting rows
+# |D| < |C|; only their prune counts changed.
 GOLDEN_DIGESTS = [
     (search_binary, SearchTask(q=49, d=8),
      "9fd9b46180f13aea8114229ad6a31b33b46973106a0085076bc759b60cf14669"),
@@ -275,13 +296,14 @@ GOLDEN_DIGESTS = [
     (search_binary, SearchTask(q=169, d=14, budget=2000),
      "dffcdad7013e0718316b11601e79c789c2459e2c1bbf9f01c67fd2bc97db3011"),
     (search_ternary, SearchTask(q=49, d=8, arity=3),
-     "dc251373f6c41d122cb400ce24b8cf9fe955cf0d2a927de089cca8eca98094ff"),
-    # budget-truncated ternary runs: prune tables are built lazily, so the
-    # counts stop where the budget does
+     "9c30fe3670abc58471f8902b8e6469e7dbd1d623e326d10b9507c816accc763d"),
+    # budget-truncated ternary runs: the first-level table is counted whole
+    # (at (61, 2) PRODUCT_LT_Q reads 361), and only the split tables are
+    # built lazily, so their counts stop where the budget does
     (search_ternary, SearchTask(q=64, d=9, arity=3, budget=300),
      "4d4f561dfe4f26ccf31ace547dfc343f4fbfef64199c06adf45b655896f16d2b"),
     (search_ternary, SearchTask(q=61, d=2, arity=3, budget=300),
-     "111e7d882a38e517c26819790a1fcd3bf48bcdf12d6a0e5b9fac34038bb6e60d"),
+     "5eeb1da447ac26e30d2d570bd3a626f5de59374453c0821b2ff83bb27f90dfb8"),
     (search_ternary, SearchTask(q=49, d=8, arity=3,
                                 prune_flags=DEFAULT_PRUNES - {CAUCHY_DAVENPORT}),
      "3f414f4c6fa73d5d568452ef237443fed152148101575e1e8064c3d5f1d7095b"),
@@ -296,7 +318,7 @@ GOLDEN_DIGESTS = [
      "adf18c923e2b58abe3304c0723cac58c68f329dde7b1dbf35a4df0eeff9c35c6"),
     # |C| = 1 and |B| = 1 splits
     (search_ternary, SearchTask(q=61, d=2, arity=3, min_part_size=1, budget=3000),
-     "1ce5d660db19d9a0a40a883cc754ab9702134f4b417143dbf398b4176a68a680"),
+     "d71900e0d82dfbab8bc6cb6395c55ba0ea14e17fe278ad1c420bf28597763016"),
     (search_binary, SearchTask(q=397, d=2, budget=2000,
                                prune_flags=DEFAULT_PRUNES - {DISTINCT_SUMS}),
      "f303c8c20bd3369ebc7b040f0d1d8007340708f946c7161e190c962590251f3f"),
