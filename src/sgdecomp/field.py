@@ -548,6 +548,8 @@ def make_field(p: int, n: int = 1) -> FieldCtx:
 
 
 def make_field_q(q: int) -> FieldCtx:
-    """Context for F_q given the prime power q."""
+    """Context for F_q given the prime power q; q is capped before factoring."""
+    if q > Q_CAP:
+        raise FieldTooLarge(f"q={q} exceeds the cap {Q_CAP}")
     p, n = factor_prime_power(q)
     return make_field(p, n)

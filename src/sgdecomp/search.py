@@ -9,7 +9,8 @@ are enumerated, and results are deduplicated by an explicit orbit-minimal
 canonical key.  An orbit is still emitted many times, so each search keeps
 a memo: computing an orbit's key visits every image of it, and the images
 in emission form are stored as bitmasks.  A later emission found there is
-skipped, so each orbit's key is computed once.
+skipped, so each orbit's key is computed once.  The key translates each
+part once, as dlogs, and dilates in the log domain by exp lookups.
 
 One search routine serves both arities, and one grower builds every pair
 of parts: A + B = S_d, or D + C = S_d and then A + B = D.  It grows the
@@ -45,7 +46,7 @@ from itertools import permutations, product
 from .characters import subgroup
 from .errors import (DegenerateD, FieldTooLargeForExhaustive,
                      HypothesisViolated, NotADivisor, SgdecompError)
-from .field import FieldCtx, lucas_binom_nonzero, make_field_q
+from .field import DLOG_UNDEFINED, FieldCtx, lucas_binom_nonzero, make_field_q
 from .subsets import FqSubset, iter_bits, sumset_many
 
 EXISTS = "EXISTS"
@@ -169,43 +170,53 @@ def _orbit_key(ctx: FieldCtx, d: int, parts, images=None):
     and translation by shifts with zero sum.  Only images with 0 in each of
     the first k - 1 parts can be minimal, so each of those parts is shifted
     by minus one of its own elements t_i, and the last part by the sum of
-    the t_i.  Every image in emission form (min of the last part = 1, part
-    sizes non-increasing) is added to images, when given, as one int:
-    part i's bitmask shifted left by i * q.
+    the t_i.  As lambda (P - t) = lambda P - lambda t, each translate is
+    built once, as dlogs, and dilated by exp lookups.  An image is in
+    emission form (min of the last part = 1, part sizes non-increasing)
+    when its last translate holds lambda^-1 but not 0; each is added to
+    images, when given, as one int: part i's bitmask shifted left by i * q.
     """
-    q = ctx.q
-    sizes = [len(part) for part in parts]
-    plans = []  # (head parts, last part, whether the sizes are non-increasing)
+    q, exp, dlog = ctx.q, ctx.exp, ctx.dlog
+    order = q - 1
+    moved = {}  # (part, s) -> (dlogs of part + s without 0, whether 0 is in it)
+
+    def translate(i, s):
+        if (i, s) not in moved:
+            logs = [dlog[ctx.add(x, s)] for x in parts[i]]
+            moved[i, s] = [l for l in logs if l >= 0], DLOG_UNDEFINED in logs
+        return moved[i, s]
+
+    heads = {(i, t): translate(i, ctx.neg(t))[0]  # every head translate holds 0
+             for i, part in enumerate(parts) for t in part}
+    head_id = {key: n for n, key in enumerate(heads)}
+    rows = []  # (head translate ids, dlogs of the last translate, 0 in it)
+    emits = {}  # log lambda^-1 -> the rows whose image under lambda emits
     for perm in permutations(range(len(parts))):
-        *heads, last = perm
-        plans.append((heads, last,
-                      all(sizes[i] >= sizes[j] for i, j in zip(perm, perm[1:]))))
+        *hs, last = perm
+        ordered = all(len(parts[i]) >= len(parts[j]) for i, j in zip(perm, perm[1:]))
+        for ts in product(*(parts[i] for i in hs)):
+            total = 0
+            for t in ts:
+                total = ctx.add(total, t)
+            rows.append(([head_id[k] for k in zip(hs, ts)], *translate(last, total)))
+            if ordered and not rows[-1][2] and images is not None:
+                for l in rows[-1][1]:
+                    emits.setdefault(l, []).append(rows[-1])
     best = None
     for lam in _subgroup_elems(ctx, d):
-        scaled = [[ctx.mul(lam, x) for x in part] for part in parts]
-        moved = {}  # (part, s) -> sorted part + s, for this lambda
-
-        def shifted(i, s):
-            out = moved.get((i, s))
-            if out is None:
-                out = moved[i, s] = tuple(sorted(ctx.add(x, s) for x in scaled[i]))
-            return out
-
-        for heads, last, sizes_ordered in plans:
-            for ts in product(*(scaled[i] for i in heads)):
-                total = 0
-                for t in ts:
-                    total = ctx.add(total, t)
-                cand = tuple(shifted(i, ctx.neg(t)) for i, t in zip(heads, ts))
-                cand += (shifted(last, total),)
-                if best is None or cand < best:
-                    best = cand
-                if images is not None and sizes_ordered and cand[-1][0] == 1:
-                    packed = 0
-                    for pos, part in enumerate(cand):
-                        for x in part:
-                            packed |= 1 << (x + pos * q)
-                    images.add(packed)
+        m = dlog[lam] - order  # exp[l + m] = lambda g^l; a negative index wraps
+        dil = [(0, *sorted([exp[l + m] for l in logs])) for logs in heads.values()]
+        # a row can only win if its first head part ties or beats the best
+        for ids, logs, zero in rows if best is None or min(dil) <= best[0] else ():
+            cand = tuple([dil[i] for i in ids])
+            if best is None or cand <= best[:-1]:  # only then build the last part
+                cand += ((0,) * zero + tuple(sorted([exp[l + m] for l in logs])),)
+                best = cand if best is None else min(best, cand)
+        for ids, logs, _ in emits.get(-m % order, ()):
+            packed = sum([1 << exp[l + m] for l in logs])
+            for i in reversed(ids):  # head position j at j * q, the last part above
+                packed = packed << q | sum([1 << x for x in dil[i]])
+            images.add(packed)
     return best
 
 

@@ -11,7 +11,7 @@ b is in B, then A fits inside S - b.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -343,3 +343,52 @@ def orbit_count(solutions: set, q: int, s_elems, add, neg, mul) -> int:
                     moved[bpos] = tr(moved[bpos], nt)
                     touch(i, tuple(moved))
     return len({find(i) for i in range(len(sols))})
+
+
+def orbit_key_reference(ctx, d: int, parts, images=None):
+    """The orbit key as first written: every image recomputed per lambda.
+
+    Lexicographic minimum of the sorted parts over the orbit of parts,
+    generated by dilation by lambda in S_d, part permutation and
+    translation by shifts with zero sum.  Only images with 0 in each of
+    the first k - 1 parts can be minimal, so each of those parts is shifted
+    by minus one of its own elements t_i, and the last part by the sum of
+    the t_i.  Every image in emission form (min of the last part = 1, part
+    sizes non-increasing) is added to images, when given, as one int:
+    part i's bitmask shifted left by i * q.
+    """
+    q = ctx.q
+    s_elems = [x for x in range(1, q) if ctx.pow(x, (q - 1) // d) == 1]
+    sizes = [len(part) for part in parts]
+    plans = []  # (head parts, last part, whether the sizes are non-increasing)
+    for perm in permutations(range(len(parts))):
+        *heads, last = perm
+        plans.append((heads, last,
+                      all(sizes[i] >= sizes[j] for i, j in zip(perm, perm[1:]))))
+    best = None
+    for lam in s_elems:
+        scaled = [[ctx.mul(lam, x) for x in part] for part in parts]
+        moved = {}  # (part, s) -> sorted part + s, for this lambda
+
+        def shifted(i, s):
+            out = moved.get((i, s))
+            if out is None:
+                out = moved[i, s] = tuple(sorted(ctx.add(x, s) for x in scaled[i]))
+            return out
+
+        for heads, last, sizes_ordered in plans:
+            for ts in product(*(scaled[i] for i in heads)):
+                total = 0
+                for t in ts:
+                    total = ctx.add(total, t)
+                cand = tuple(shifted(i, ctx.neg(t)) for i, t in zip(heads, ts))
+                cand += (shifted(last, total),)
+                if best is None or cand < best:
+                    best = cand
+                if images is not None and sizes_ordered and cand[-1][0] == 1:
+                    packed = 0
+                    for pos, part in enumerate(cand):
+                        for x in part:
+                            packed |= 1 << (x + pos * q)
+                    images.add(packed)
+    return best

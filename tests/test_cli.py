@@ -175,6 +175,12 @@ def test_search_disable_prune(capsys, monkeypatch, tmp_path):
     assert base["results"]["witnesses"] == loose["results"]["witnesses"]
 
 
+def test_huge_field_is_an_error(capsys):
+    code, out, err = run(capsys, "field", "--q", str(10**60 + 7), "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "exceeds the cap" in err
+
+
 def test_search_rejects_bad_limits_before_cache(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     for extra in (("--arity", "3", "--min-size", "0"), ("--min-size", "-3"),

@@ -180,6 +180,14 @@ def test_field_construction_guards():
         make_field(7, 0)
 
 
+def test_make_field_q_caps_before_factoring():
+    # trial division would not finish on a 61-digit q
+    with pytest.raises(FieldTooLarge):
+        make_field_q(10**60 + 7)
+    with pytest.raises(FieldTooLarge):
+        make_field_q(2**21)
+
+
 def test_make_field_is_cached():
     assert make_field(13, 1) is make_field_q(13)
 

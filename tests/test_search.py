@@ -1,6 +1,7 @@
 """Exhaustive decomposition search against independent brute force."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from oracles import (
     brute_ternary_solutions,
     feasible_sizes_rowwise,
     orbit_count,
+    orbit_key_reference,
     sumset_mask,
 )
 
@@ -101,6 +103,50 @@ def test_canonical_key_separates_distinct_orbits():
     k1 = canonical_binary_key(ctx, 2, (0, 1), (1, 4))
     k2 = canonical_binary_key(ctx, 2, (0, 1), (1, 10))
     assert k1 != k2
+
+
+def assert_key_matches_reference(ctx, d, parts):
+    want_images, got_images = set(), set()
+    want = orbit_key_reference(ctx, d, parts, want_images)
+    if len(parts) == 2:
+        got = canonical_binary_key(ctx, d, *parts, got_images)
+    else:
+        got = canonical_ternary_key(ctx, d, parts, got_images)
+    assert got == want and got_images == want_images
+    return bool(want_images)
+
+
+@pytest.mark.parametrize("q", [13, 31, 49, 64, 81, 121])
+def test_orbit_key_matches_reference_on_random_parts(q):
+    ctx = make_field_q(q)
+    rng = random.Random(1000 + q)
+    emitted = 0
+    for trial in range(36):
+        d = rng.choice(valid_ds(q))
+        arity = 2 + trial % 2
+        size = rng.randint(1, 4)  # every part this size in a third of the trials
+        parts = []
+        for _ in range(arity):
+            part = rng.sample(range(q), size if trial % 3 == 0 else rng.randint(1, 4))
+            if trial % 4 == 0 and 0 not in part:
+                part[rng.randrange(len(part))] = 0
+            parts.append(tuple(part))  # unsorted
+        emitted += assert_key_matches_reference(ctx, d, parts)
+    assert emitted  # some inputs have images in emission form
+
+
+@pytest.mark.parametrize("fn,task", [
+    (search_binary, SearchTask(q=81, d=10)),
+    (search_binary, SearchTask(q=13, d=3, min_part_size=1)),
+    (search_ternary, SearchTask(q=49, d=8, arity=3)),
+    (search_ternary, SearchTask(q=31, d=3, arity=3, min_part_size=1, budget=2000)),
+], ids=["2-81-10", "2-13-3-min1", "3-49-8", "3-31-3-min1"])
+def test_orbit_key_matches_reference_on_witnesses(fn, task):
+    ctx = make_field_q(task.q)
+    res = fn(task)
+    assert res.witnesses
+    for w in res.witnesses:
+        assert assert_key_matches_reference(ctx, task.d, w.parts)
 
 
 def oracle_binary(ctx, d):
