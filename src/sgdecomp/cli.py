@@ -184,8 +184,9 @@ def _cmd_classify(args):
         return None, None, 0
     if args.q is None or args.d is None:
         raise SgdecompError("classify needs --q and --d, or --qmax")
+    ctx = make_field_q(args.q)  # caps q before classify_pair factors it
     pc = classify_pair(args.d, args.q)
-    return {"pair": pc.as_dict(), "provenance": THEOREM}, make_field_q(args.q), 0
+    return {"pair": pc.as_dict(), "provenance": THEOREM}, ctx, 0
 
 
 def _revalidate(ctx, payload, d: int, min_size: int) -> bool:

@@ -15,6 +15,11 @@ Every operation is a table lookup once the context is built:
     x + y = g^(log x + zech[log y - log x]), and a negation table;
   * prime fields add and negate mod p and build neither extra table.
 
+Subsets are bit masks over the indices.  A prime field translates a mask
+by rotating it.  For n > 1 the comb mask combs[j] has a bit at every
+multiple of p^(j+1), and adding t_j p^j to every index is one shift-and-mask
+step on the whole mask, with no loop over digit values.
+
 The build never multiplies polynomials per element.  Multiplication by g
 is F_p-linear, so n products give the images of the coordinate basis x^j,
 and linear_images extends them to every index at one cheap step each (an
@@ -216,9 +221,6 @@ def _polypow_x_mod(e: int, mod: list[int], p: int) -> list[int]:
     # x^e mod (mod, p) by square and multiply
     result = [1]
     base = [0, 1]
-    deg_m = len(mod) - 1
-    if deg_m == 1:
-        base = [(-mod[0]) % p]
     while e:
         if e & 1:
             result = _polymul_mod(result, base, mod, p)
@@ -331,17 +333,19 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "q", "modulus", "generator", "exp", "dlog", "zech",
-        "neg_table", "key", "full_mask", "nonzero_mask", "_digit_masks",
+        "neg_table", "combs", "key", "full_mask", "nonzero_mask",
     )
 
     def __init__(self, p: int, n: int):
-        if not is_prime(p):
-            raise CompositeP(f"p={p} is not prime")
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
+        # cap before trial division; p^21 >= 2^21 > Q_CAP, so n is clamped
+        # at 21 and no huge power is built or printed
+        if p >= 2 and p ** min(n, 21) > Q_CAP:
+            raise FieldTooLarge(f"q=p^n={p}^{n} exceeds the cap {Q_CAP}")
+        if not is_prime(p):
+            raise CompositeP(f"p={p} is not prime")
         q = p**n
-        if q > Q_CAP:
-            raise FieldTooLarge(f"q=p^n={q} exceeds the cap {Q_CAP}")
         self.p = p
         self.n = n
         self.q = q
@@ -349,7 +353,6 @@ class FieldCtx:
         self.key = (p, n, self.modulus)
         self.full_mask = (1 << q) - 1
         self.nonzero_mask = self.full_mask & ~1
-        self._digit_masks = None
         self._build_tables()
 
     # --- index <-> digit coordinates -------------------------------------
@@ -420,7 +423,7 @@ class FieldCtx:
             raise InternalError
         self.exp = exp
         self.dlog = dlog
-        self.zech = self.neg_table = None
+        self.zech = self.neg_table = self.combs = None
         if n > 1:
             # zech[k] = dlog(1 + g^k), -1 where g^k = -1; adding 1 changes
             # only digit 0.  A generator, so no list of q entries is built.
@@ -433,6 +436,15 @@ class FieldCtx:
                 neg = [exp[k - order // 2] for k in dlog]
                 neg[0] = 0  # dlog[0] is the sentinel
                 self.neg_table = neg
+            # combs[j]: a bit at every multiple of p^(j+1) below q, by doubling
+            combs = []
+            for j in range(n):
+                comb, span = 1, p ** (j + 1)
+                while span < q:
+                    comb |= comb << span
+                    span *= 2
+                combs.append(comb & self.full_mask)
+            self.combs = combs
 
     # --- public element arithmetic ----------------------------------------
 
@@ -477,49 +489,29 @@ class FieldCtx:
 
     # --- bit-mask helpers used by the subset layer -------------------------
 
-    def _ensure_digit_masks(self):
-        if self._digit_masks is not None:
-            return self._digit_masks
-        p, n, q = self.p, self.n, self.q
-        masks = []
-        for j in range(n):
-            block = p**j
-            period = block * p
-            ones = (1 << block) - 1
-            per_level = []
-            for v in range(p):
-                m = ones << (v * block)
-                span = period
-                while span < q:
-                    m |= m << span
-                    span *= 2
-                per_level.append(m & self.full_mask)
-            masks.append(per_level)
-        self._digit_masks = masks
-        return masks
-
     def translate_bits(self, bits: int, t: int) -> int:
-        """Image of a bit-mask set under x -> x + t."""
+        """Image of a bit-mask set under x -> x + t.
+
+        Adding up = t_j p^j moves an index whose digit j stays below p left
+        by up, and wraps the rest right by p^(j+1) - up onto the indices
+        that (comb << up) - comb marks, comb = combs[j]: those whose digit
+        j is below t_j.
+        """
         if t == 0 or bits == 0:
             return bits
         if self.n == 1:
             p = self.p
             return ((bits << t) | (bits >> (p - t))) & self.full_mask
-        masks = self._ensure_digit_masks()
-        p = self.p
+        p, full = self.p, self.full_mask
         block = 1
-        for j in range(self.n):
+        for comb in self.combs:
             tv = t % p
             t //= p
             if tv:
-                lvl = masks[j]
-                acc = 0
-                for v in range(p):
-                    part = bits & lvl[v]
-                    if part:
-                        shift = (((v + tv) % p) - v) * block
-                        acc |= (part << shift) if shift >= 0 else (part >> -shift)
-                bits = acc
+                up = tv * block
+                wrap = (comb << up) - comb
+                bits = (((bits << up) & (full ^ wrap))
+                        | ((bits >> (p * block - up)) & wrap))
             block *= p
         return bits
 

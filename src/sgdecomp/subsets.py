@@ -1,9 +1,10 @@
 """Subsets of F_q as immutable bit masks over element indices.
 
 Set bit i means element index i is present.  Prime-field translation is a
-cyclic shift of the mask; extension fields rotate digit blocks, so sumsets
-cost one mask translation per element of the smaller operand regardless of
-the field shape.
+cyclic shift of the mask; extension fields take one shift-and-mask step per
+nonzero digit of the shift (FieldCtx.translate_bits), so sumsets cost one
+mask translation per element of the smaller operand regardless of the field
+shape.
 """
 
 from __future__ import annotations

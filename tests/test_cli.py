@@ -176,9 +176,17 @@ def test_search_disable_prune(capsys, monkeypatch, tmp_path):
 
 
 def test_huge_field_is_an_error(capsys):
-    code, out, err = run(capsys, "field", "--q", str(10**60 + 7), "--json")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "exceeds the cap" in err
+    # each is capped before trial division and before p^n is built or printed
+    huge = str(10**60 + 7)
+    for argv in (("field", "--q", huge),
+                 ("field", "--p", huge, "--n", "1"),
+                 ("construct", "--family", "a-plus-a", "--p", huge, "--n", "1"),
+                 ("field", "--p", "2", "--n", "100000000"),
+                 ("classify", "--q", huge, "--d", "2")):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "exceeds the cap" in err
+        assert "Traceback" not in err
 
 
 def test_search_rejects_bad_limits_before_cache(capsys, monkeypatch, tmp_path):

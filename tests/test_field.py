@@ -158,12 +158,17 @@ def test_dlog_exp_tables():
 
 
 def test_translate_bits_matches_elementwise():
-    for q in (13, 8, 27, 49):
+    # every t in the small fields; in the larger ones (four digit levels at
+    # 81, nine at 512, blocks of 31 at 961) q - 1, whose every digit wraps,
+    # and a sample.  The full set wraps at every block edge.
+    for q in (13, 8, 27, 49, 81, 121, 343, 512, 961):
         ctx = make_field_q(q)
         rng = random.Random(q * 7)
-        for _ in range(25):
-            bits = rng.randrange(1 << q)
-            for t in range(q):
+        small = q <= 49
+        masks = [rng.randrange(1 << q) for _ in range(25 if small else 3)]
+        ts = range(q) if small else [q - 1] + rng.sample(range(1, q - 1), 7)
+        for bits in masks + [ctx.full_mask]:
+            for t in ts:
                 want = 0
                 for x in range(q):
                     if (bits >> x) & 1:
@@ -176,6 +181,11 @@ def test_field_construction_guards():
         make_field(6, 1)
     with pytest.raises(FieldTooLarge):
         make_field(2, 21)
+    # capped before trial division, and before p^n is built or printed
+    with pytest.raises(FieldTooLarge):
+        make_field(10**60 + 7, 1)
+    with pytest.raises(FieldTooLarge):
+        make_field(2, 100_000_000)
     with pytest.raises(ValueError):
         make_field(7, 0)
 
