@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 
 CACHE_ENV = "SGDECOMP_CACHE_DIR"
-CACHE_VERSION = 2  # bump when a report changes: a hit re-checks witnesses only
+CACHE_VERSION = 3  # bump when a report changes: a hit re-checks witnesses only
 
 
 def cache_dir() -> Path:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import CompositeP, FieldTooLarge, NotAPrimePower
 
@@ -105,10 +106,18 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def prime_powers(limit: int) -> list[tuple[int, int, int]]:
-    """All (q, p, n) with q = p^n <= limit, sorted by q."""
+    """All (q, p, n) with q = p^n <= limit <= Q_CAP, sorted by q."""
+    if limit > Q_CAP:
+        raise FieldTooLarge(f"q={limit} exceeds the cap {Q_CAP}")
+    if limit < 2:
+        return []
+    composite = bytearray(limit + 1)  # sieve of Eratosthenes
+    for p in range(2, isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, limit + 1, p))
     out = []
     for p in range(2, limit + 1):
-        if not is_prime(p):
+        if composite[p]:
             continue
         q, n = p, 1
         while q <= limit:

@@ -14,9 +14,10 @@ part once, as dlogs, and dilates in the log domain by exp lookups.
 
 One search routine serves both arities, and one grower builds every pair
 of parts: A + B = S_d, or D + C = S_d and then A + B = D.  It grows the
-smaller part B in ascending order, keeping in one pass per node the pool
-elements b whose translate target - b (built once per call) leaves A
-enough candidates.  A is then enumerated cover-driven, branching on which
+smaller part B in ascending order: a node keeps, of the kids its parent
+kept after it, those whose translate target - b (built once per call)
+leaves A enough candidates, and grows only kids followed by enough kept
+kids to finish B.  A is then enumerated cover-driven, branching on which
 element covers the lowest uncovered target point, with tried branches
 barred from later siblings so each solution is produced exactly once.  One
 predicate picks the part sizes by theorem-backed rules, each toggleable so
@@ -101,6 +102,8 @@ class SearchResult:
     witnesses: tuple[DecompWitness, ...]
     complete: bool
     nodes: int
+    probes: int
+    emissions: int
     prune_counts: dict
 
     def as_dict(self) -> dict:
@@ -114,6 +117,8 @@ class SearchResult:
             "orbit_count": len(self.witnesses),
             "witnesses": [w.as_dict() for w in self.witnesses],
             "nodes": self.nodes,
+            "probes": self.probes,
+            "emissions": self.emissions,
             "prune_counts": {k: self.prune_counts[k]
                              for k in sorted(self.prune_counts)},
         }
@@ -124,10 +129,11 @@ class _BudgetExceeded(Exception):
 
 
 class _Gas:
-    __slots__ = ("nodes", "limit")
+    __slots__ = ("nodes", "probes", "limit")
 
     def __init__(self, limit):
         self.nodes = 0
+        self.probes = 0  # kid tests made by the B grower
         self.limit = limit
 
     def tick(self):
@@ -334,32 +340,33 @@ def _enum_second_parts(ctx, target_bits, first_forced, size_pairs, gas, sink):
     target_bits is what A + B must equal; B lives in target_bits and starts
     from first_forced (index 1 when the target is S_d, 0 for split targets).
     size_pairs maps |B| to the allowed |A|; sink receives (a_bits, b_bits).
+    Each node filters live, the (bit, target - b) kids its parent kept
+    after it, and grows only kept kids followed by enough kept kids.
     """
     if not size_pairs:
         return
-    pool = [b for b in iter_bits(target_bits) if b > first_forced]
-    shifts = [ctx.translate_bits(target_bits, ctx.neg(b)) for b in pool]
-    n = len(pool)
+    pool = [(1 << b, ctx.translate_bits(target_bits, ctx.neg(b)))
+            for b in iter_bits(target_bits) if b > first_forced]
     base_cand = ctx.translate_bits(target_bits, ctx.neg(first_forced))
     for sb in sorted(size_pairs):
         sizes_a = size_pairs[sb]
         min_a = min(sizes_a)
 
-        def grow(b_bits, j, cand_a, cnt):
+        def grow(b_bits, live, cand_a, cnt):
             gas.tick()
             if cnt == sb:
                 _cover_enum(ctx, b_bits, cand_a, target_bits, sizes_a, gas,
                             lambda a_bits: sink(a_bits, b_bits))
                 return
-            if n - j < sb - cnt:
-                return
-            # indices only: pending frames hold no masks; kept ANDs are redone
-            kids = [i for i in range(j, n)
-                    if (cand_a & shifts[i]).bit_count() >= min_a]
-            for i in kids:
-                grow(b_bits | 1 << pool[i], i + 1, cand_a & shifts[i], cnt + 1)
+            gas.probes += len(live)
+            # kept ANDs are redone, so pending frames hold no new masks
+            kids = [kid for kid in live if (cand_a & kid[1]).bit_count() >= min_a]
+            # a kid with fewer later kids than B still needs cannot finish B
+            for t in range(len(kids) - (sb - cnt - 1)):
+                bit, shift = kids[t]
+                grow(b_bits | bit, kids[t + 1:], cand_a & shift, cnt + 1)
 
-        grow(1 << first_forced, 0, base_cand, 1)
+        grow(1 << first_forced, pool, base_cand, 1)
 
 
 def _search(task: SearchTask, arity: int) -> SearchResult:
@@ -384,8 +391,11 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
     gas = _Gas(task.budget)
     found = {}
     seen = set()  # emission-form images of the orbits in found
+    emissions = 0
 
     def record(*parts_bits):
+        nonlocal emissions
+        emissions += 1
         packed = 0
         for bits in reversed(parts_bits):  # part i at bit offset i * q
             packed = packed << q | bits
@@ -422,7 +432,8 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
     witnesses = tuple(found[k] for k in sorted(found))
     kind = EXISTS if witnesses else (NONE_EXHAUSTIVE if complete else UNKNOWN)
     return SearchResult(task=task, kind=kind, witnesses=witnesses,
-                        complete=complete, nodes=gas.nodes, prune_counts=counts)
+                        complete=complete, nodes=gas.nodes, probes=gas.probes,
+                        emissions=emissions, prune_counts=counts)
 
 
 def search_binary(task: SearchTask) -> SearchResult:

@@ -11,7 +11,8 @@ b is in B, then A fits inside S - b.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import numpy as np
 
@@ -202,6 +203,27 @@ def _subsets_with(base: int, pool, visit):
         rec(i + 1, bits | (1 << pool[i]))
 
     rec(0, base)
+
+
+def grower_b_sets(q: int, s_elems, add, neg, size_rows: dict) -> set:
+    """Every B the binary search must hand to its A enumerator.
+
+    B holds 1 (= min S after dilation) and |B| - 1 larger elements of S, and
+    the intersection of S - b over b in B must leave room for the smallest
+    allowed |A|.  size_rows maps |B| to the allowed |A|.  Plain
+    combinations, no pruning: the search's B grower must reach exactly these.
+    """
+    shifts = shift_tables(q, s_elems, add, neg)
+    rest = sorted(x for x in s_elems if x > 1)
+    out = set()
+    for sb, sizes_a in size_rows.items():
+        for others in combinations(rest, sb - 1):
+            room = shifts[1]
+            for b in others:
+                room &= shifts[b]
+            if room.bit_count() >= min(sizes_a):
+                out.add(_mask((1, *others)))
+    return out
 
 
 def brute_binary_solutions(q: int, s_elems, add, neg,

@@ -176,13 +176,15 @@ def test_search_disable_prune(capsys, monkeypatch, tmp_path):
 
 
 def test_huge_field_is_an_error(capsys):
-    # each is capped before trial division and before p^n is built or printed
+    # each is capped before trial division or a sieve, and before p^n is
+    # built or printed
     huge = str(10**60 + 7)
     for argv in (("field", "--q", huge),
                  ("field", "--p", huge, "--n", "1"),
                  ("construct", "--family", "a-plus-a", "--p", huge, "--n", "1"),
                  ("field", "--p", "2", "--n", "100000000"),
-                 ("classify", "--q", huge, "--d", "2")):
+                 ("classify", "--q", huge, "--d", "2"),
+                 ("classify", "--qmax", str(10**12))):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "exceeds the cap" in err
@@ -336,11 +338,13 @@ GOLDEN_CLI = [
      "9ea7404314cdd8b308eb691468c25705fdef6a71eeda72bd5aaa5a2c2e2392da"),
     (("selftest", "--json"),
      "9b8ff8e5e74d2e33ef922609e88e695847784be8b3cd41cf2c890d13496eafbf"),
+    # both search entries re-recorded when reports gained probes and
+    # emissions and the B grower stopped visiting kids too few to finish B
     (("search", "--q", "13", "--d", "3", "--no-cache", "--json"),
-     "8a74d72fe5a8666e626986b30a2faf4e37f7dedb7211ed2aeb7d2325aca3171a"),
+     "dd7186ea48b35f3860229c8ccd2b40f9346a020b4f97d955cda7b86a5a1d8849"),
     # re-recorded when ternary prune counts stopped counting rows |D| < |C|
     (("search", "--q", "49", "--d", "8", "--arity", "3", "--no-cache", "--json"),
-     "61972287fa4d7b8e73398b5aed22be8adcc4700857f6a5126aed1ae316bfbc60"),
+     "ea0acfbe992d99d9d2fb435273dafba34590c9e217431580c62fb8a0b685a214"),
 ]
 
 

@@ -65,6 +65,19 @@ def test_prime_powers_to_50():
     assert all(p**n == q for q, p, n in got)
 
 
+def test_prime_powers_match_trial_division():
+    def literal(limit):
+        primes = [p for p in range(2, limit + 1)
+                  if all(p % k for k in range(2, p))]
+        return sorted((p**n, p, n) for p in primes
+                      for n in range(1, limit.bit_length() + 1) if p**n <= limit)
+
+    for limit in (-1, 0, 1, 2, 3, 4, 8, 9, 49, 1500):
+        assert prime_powers(limit) == literal(limit), limit
+    with pytest.raises(FieldTooLarge):  # refused before any sieve is built
+        prime_powers(10**12)
+
+
 def test_base_p_digits_roundtrip():
     for p in (2, 3, 7, 13):
         for m in range(0, 500):

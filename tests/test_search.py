@@ -31,6 +31,7 @@ from oracles import (
     brute_binary_solutions,
     brute_ternary_solutions,
     feasible_sizes_rowwise,
+    grower_b_sets,
     orbit_count,
     orbit_key_reference,
     sumset_mask,
@@ -325,52 +326,88 @@ def test_oracle_self_check():
     assert sols  # S_3 does decompose
 
 
+QR_PRIMES_TO_61 = [p for p in range(5, 62) if all(p % k for k in range(2, p))]
+
+
+@pytest.mark.parametrize("q,d", [(p, 2) for p in QR_PRIMES_TO_61]
+                         + [(49, 8), (81, 10)])
+def test_grower_hands_on_every_feasible_b_once(monkeypatch, q, d):
+    # the B grower's cuts (kid filter, remaining-kids bound) lose no B that
+    # leaves A room, and never hand the same B to the A enumerator twice
+    reached = []
+    original = search_mod._cover_enum
+
+    def spy(ctx, other_bits, *args):
+        reached.append(other_bits)
+        return original(ctx, other_bits, *args)
+
+    monkeypatch.setattr(search_mod, "_cover_enum", spy)
+    assert search_binary(SearchTask(q=q, d=d)).complete
+    ctx = make_field_q(q)
+    order = (q - 1) // d
+    s = [x for x in range(1, q) if ctx.pow(x, order) == 1]
+    counts = dict.fromkeys(DEFAULT_PRUNES, 0)
+    rows = {sb: feasible_sizes_rowwise(range(sb, order + 1), sb, order, q,
+                                       ctx.p, order, DEFAULT_PRUNES, counts)
+            for sb in range(2, order + 1)}
+    want = grower_b_sets(q, s, ctx.add, ctx.neg,
+                         {sb: sizes for sb, sizes in rows.items() if sizes})
+    assert len(reached) == len(set(reached))
+    assert set(reached) == want, (q, d)
+
+
 # sha256 of canonical_json(result.as_dict()), each recorded before a rewrite
 # of the search (the first five before the orbit-key memo, the rest before
 # the size rules were merged into one predicate); witnesses, keys, node and
 # prune counts must stay byte-identical under any refactor or speed-up.
 # The three ternary digests at (49, 8), (61, 2) and (61, 2) min size 1 were
 # re-recorded when the ternary first-level table stopped counting rows
-# |D| < |C|; only their prune counts changed.
+# |D| < |C|; only their prune counts changed.  Every entry but (73, 2) was
+# re-recorded when the reports gained probes and emissions and the B grower
+# stopped visiting kids too few to finish B; with those two counters removed
+# and nodes set back, each hashes to its old digest.
 GOLDEN_DIGESTS = [
     (search_binary, SearchTask(q=49, d=8),
-     "9fd9b46180f13aea8114229ad6a31b33b46973106a0085076bc759b60cf14669"),
+     "c51f709b4d32ca33f2c7a9801040958d34277419099d09a607ad837ce95777e8"),
     (search_binary, SearchTask(q=81, d=10),
-     "c73b8d7571073ff434746613dc69438c333348cba942cd68d6eb81086546b22d"),
+     "aa123459f071c26f07d0e83e9b684c2c2ce81d1897f9d85f1e62a164ff7c6699"),
     (search_binary, SearchTask(q=121, d=12),
-     "45cf599f23f1b7b286c27be02ae7229e7deaaed9ba444a55d7c186c0f9e0e7c3"),
+     "13e2a7174b725b0250a16d64cd7a53ee6abd6ff2f53e81169af53f5e256f8432"),
     (search_binary, SearchTask(q=169, d=14, budget=2000),
-     "dffcdad7013e0718316b11601e79c789c2459e2c1bbf9f01c67fd2bc97db3011"),
+     "6092ac7a735dd1b63fb52afd7aa036cc9fd63c5468d040fb342283bbe6e998ca"),
     (search_ternary, SearchTask(q=49, d=8, arity=3),
-     "9c30fe3670abc58471f8902b8e6469e7dbd1d623e326d10b9507c816accc763d"),
+     "a2662df14d580a546484af0a3fa28998dfaabad180370ec4799bdf60900e42c9"),
     # budget-truncated ternary runs: the first-level table is counted whole
     # (at (61, 2) PRODUCT_LT_Q reads 361), and only the split tables are
     # built lazily, so their counts stop where the budget does
     (search_ternary, SearchTask(q=64, d=9, arity=3, budget=300),
-     "4d4f561dfe4f26ccf31ace547dfc343f4fbfef64199c06adf45b655896f16d2b"),
+     "d3f4617cd194f30e4101f8d0fe1f0a5f3b01044f230c2b2b738a1f9380091823"),
     (search_ternary, SearchTask(q=61, d=2, arity=3, budget=300),
-     "5eeb1da447ac26e30d2d570bd3a626f5de59374453c0821b2ff83bb27f90dfb8"),
+     "e26068daef026ac3aa8ba7d73020c1b3279fafc3718e3642354a2d98de57a051"),
     (search_ternary, SearchTask(q=49, d=8, arity=3,
                                 prune_flags=DEFAULT_PRUNES - {CAUCHY_DAVENPORT}),
-     "3f414f4c6fa73d5d568452ef237443fed152148101575e1e8064c3d5f1d7095b"),
+     "ef624b34a5adeeaeeda6b74e0652af0a0ddef8b8f7f9f32d517a270e4fee1af5"),
     (search_binary, SearchTask(q=49, d=8, prune_flags=frozenset()),
-     "45bf28abf711b9ff375c237e9eb313e14663707994729fd7d57a6ff6242e4089"),
+     "45cd2b249a6f8bb2627cd4c4f33e039b340a845a1fe521280c2408de6f8e3979"),
     (search_binary, SearchTask(q=13, d=3, min_part_size=1),
-     "bf67e0e35cf411cca439aded4bafc8b39a42259c6763881cf0fa161733281ec5"),
+     "f1f9b4d63c28e17423c4e5af8721655a868bdcc0794c75a3fa385a2bf2a68397"),
+    # complete and witness-free: 1,379 nodes (2,084 without the kids bound)
+    (search_binary, SearchTask(q=73, d=2),
+     "705679b9e3f2671e1abc6c50d1ecd13d86e31bd1531133cc1fb473bc00255d49"),
     (search_binary, SearchTask(q=409, d=2, budget=2000),  # UNKNOWN
-     "314ce4c2c96ac2c802940aa9db098820df7e3bdd76187ce8c62bf13d11c22fa6"),
+     "625bfc1adfee06cce02260730205bffd38403d7d56bb5af8853739bff5964989"),
     # a deeper budget reaches lower levels of the B grower
     (search_binary, SearchTask(q=491, d=2, budget=20000),
-     "adf18c923e2b58abe3304c0723cac58c68f329dde7b1dbf35a4df0eeff9c35c6"),
+     "f27d2a0baf5fe4085ce76cf31e6d6771b9714232d888b19a2a9bd43386f61374"),
     # |C| = 1 and |B| = 1 splits
     (search_ternary, SearchTask(q=61, d=2, arity=3, min_part_size=1, budget=3000),
-     "d71900e0d82dfbab8bc6cb6395c55ba0ea14e17fe278ad1c420bf28597763016"),
+     "a7d2455f34f3c89ded508f5ea6d1fea525b74a886f503b632555492bbf2e3ffb"),
     (search_binary, SearchTask(q=397, d=2, budget=2000,
                                prune_flags=DEFAULT_PRUNES - {DISTINCT_SUMS}),
-     "f303c8c20bd3369ebc7b040f0d1d8007340708f946c7161e190c962590251f3f"),
+     "53fd842af57261b5eaab9facecb3c4a3b72ab45af61e0029230a3d0fee52e121"),
     (search_binary, SearchTask(q=443, d=2, budget=2000,
                                prune_flags=frozenset({PRODUCT_LT_Q})),
-     "5b3511b0299809c874c5ed1a8cecaa64b8f255e24f557473e352c1228b19c0f0"),
+     "95ef6fdf143b776d30c57a89829e8f609d6ec94f535c325182140fc6ad816345"),
 ]
 
 
@@ -396,7 +433,8 @@ def test_golden_search_reports(fn, task, digest):
     ("canonical_ternary_key", search_ternary, SearchTask(q=49, d=8, arity=3), 5),
 ])
 def test_one_key_per_orbit(monkeypatch, name, fn, task, orbits):
-    # without the image memo every emission pays a key: 447 and 53 here
+    # without the image memo every emission would pay a key
+    emissions = {"canonical_binary_key": 447, "canonical_ternary_key": 53}[name]
     original = getattr(search_mod, name)
     calls = []
 
@@ -408,3 +446,4 @@ def test_one_key_per_orbit(monkeypatch, name, fn, task, orbits):
     res = fn(task)
     assert res.complete and len(res.witnesses) == orbits
     assert len(calls) == orbits
+    assert res.emissions == emissions
