@@ -327,6 +327,14 @@ GOLDEN_CLI = [
      "5a457fe2f14d79f55045360b0c2bdefaf898255d2d44935f503af0ecadf890d3"),
     (("construct", "--family", "a-plus-a", "--p", "7", "--n", "1", "--json"),
      "a53daa6cbc0d5c902b9584eaaa4dc52feb4a2cf2bfe62195b3dd4727844039d0"),
+    # the digit families at n >= 2 and an a-plus-a chain through --k
+    (("construct", "--family", "a-plus-a", "--p", "7", "--n", "2", "--json"),
+     "d2253838a2b82da5df30e73803ae1989368f4fbe2695e346fff04236a80aa83f"),
+    (("construct", "--family", "ternary", "--p", "5", "--n", "2", "--json"),
+     "b33146cd8605cbeec697cefc56e21eaa73a404715d91dc6314f672bf98a898b6"),
+    (("construct", "--family", "a-plus-a", "--p", "7", "--n", "2", "--k", "1",
+      "--json"),
+     "b52fa4f26b333920e7a9b1d663f9968d5f6012360855662a6287d11d101bcf2d"),
     (("construct", "--family", "subfield", "--p", "7", "--n", "2", "--k", "1",
       "--json"),
      "8a02250676814cfc8a1c26083140262d75c34399ade6345439e78aba72042919"),
