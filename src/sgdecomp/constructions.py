@@ -1,26 +1,26 @@
 """Explicit decomposition families, each verified bit-exactly on build.
 
-Two families live on the digit coordinates of F_q (any fixed additive
-isomorphism with F_p^n works, and the digit map is one):
+Each family is one recipe over an F_p-basis b_1, ..., b_m of a space V
+inside F_q.  A pattern P of residues mod p gives the set
+{t_1 b_1 + ... + t_m b_m : every t_j in P}, of size |P|^m:
 
-  * self-sum: A = ({0..(p-3)/2} union {(p+1)/2})^n minus the zero vector
-    has A + A = F_q^* for p >= 7, with |A| = ((p+1)/2)^n - 1;
-  * ternary: A = B = {0,1}^n and C = ({0,1,2, r+3, r+6, ..., p-3})^n minus
-    zero, r = p mod 3, give A + B + C = F_q^* for p >= 5.
+  * self-sum: A from P = {0..(p-3)/2} union {(p+1)/2}, minus zero, has
+    A + A = V^* for p >= 7, with |A| = ((p+1)/2)^m - 1;
+  * ternary: A = B from P = {0,1} and C from P = {0,1,2, r+3, r+6, ..., p-3}
+    minus zero, r = p mod 3, give A + B + C = V^* for p >= 5.
 
-The third family identifies S_d for d = (q-1)/(p^k-1) with the subfield
-F_{p^k}^*, computed two independent ways (power-residue membership vs the
-fixed set of x -> x^(p^k)).  Composing it with the first two through an
-explicit F_p-basis of the subfield produces decompositions of S_d itself,
-which is what makes these counterexamples: the pairs (d, q) so obtained
-defeat any attempt to drop the digit hypotheses from the impossibility
-results.
+On V = F_q with the basis x^j (index p^j: the digit coordinates) the
+families decompose F_q^*.  The chains run them on V = F_{p^k}, which
+subfield_S_d identifies with S_d for d = (q-1)/(p^k-1) two independent ways
+(power-residue membership vs the fixed set of x -> x^(p^k)), over the basis
+it computes.  They decompose S_d itself, which is what makes these
+counterexamples: the pairs (d, q) so obtained defeat any attempt to drop
+the digit hypotheses from the impossibility results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .characters import SubgroupSpec, subgroup
 from .errors import InternalProofFailure, NotAProperDivisor, PTooSmall
@@ -63,31 +63,35 @@ class Construction:
         }
 
 
-def _self_sum_pattern(p: int) -> list[int]:
-    return list(range((p - 1) // 2)) + [(p + 1) // 2]
+def _combinations(ctx: FieldCtx, basis, pattern) -> FqSubset:
+    """{sum_j t_j b_j : every t_j in pattern}, each t_j a residue mod p."""
+    return sumset_many(FqSubset.from_indices(ctx, [ctx.mul(t, b) for t in pattern])
+                       for b in basis)
 
 
-def _ternary_c_pattern(p: int) -> list[int]:
-    r = p % 3
-    return [0, 1, 2] + list(range(r + 3, p - 2, 3))
-
-
-def _digit_product_bits(p: int, n: int, pattern) -> int:
-    """Indices whose n base-p digits each lie in pattern (as a bitset)."""
-    bits = 0
-    for digs in product(pattern, repeat=n):
-        idx = 0
-        for dig in reversed(digs):
-            idx = idx * p + dig
-        bits |= 1 << idx
-    return bits
-
-
-def _verified(spec: ConstructionSpec, ctx: FieldCtx, parts, target: FqSubset,
-              d: int) -> Construction:
+def _build(spec: ConstructionSpec) -> Construction:
+    """The family's recipe over x^j in F_q, or over subfield_S_d's basis."""
+    p = spec.p
+    if spec.k is None:
+        ctx = make_field(p, spec.n)
+        basis = [p**j for j in range(spec.n)]
+        target, d = FqSubset(ctx, ctx.nonzero_mask), 1
+    else:
+        sub = subfield_S_d(p, spec.n, spec.k)
+        ctx, basis, target, d = sub.ctx, sub.basis, sub.spec.members, sub.d
+    if spec.family == A_PLUS_A:
+        pattern = [*range((p - 1) // 2), (p + 1) // 2]
+        a = FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1)
+        if a.card != ((p + 1) // 2) ** len(basis) - 1:
+            raise InternalProofFailure("self-sum family has the wrong size")
+        parts = (a, a)
+    else:
+        pattern = [0, 1, 2, *range(p % 3 + 3, p - 2, 3)]
+        ab = _combinations(ctx, basis, [0, 1])
+        parts = (ab, ab, FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1))
     if sumset_many(parts).bits != target.bits:
         raise InternalProofFailure(f"{spec.family} sumset identity failed")
-    return Construction(spec=spec, ctx=ctx, parts=tuple(parts), target=target, d=d)
+    return Construction(spec=spec, ctx=ctx, parts=parts, target=target, d=d)
 
 
 def build_A_plus_A(p: int, n: int) -> Construction:
@@ -98,24 +102,14 @@ def build_A_plus_A(p: int, n: int) -> Construction:
     """
     if p < 7:
         raise PTooSmall(f"self-sum family needs p >= 7, got {p}")
-    ctx = make_field(p, n)
-    bits = _digit_product_bits(p, n, _self_sum_pattern(p)) & ~1
-    a = FqSubset(ctx, bits)
-    if a.card != ((p + 1) // 2) ** n - 1:
-        raise InternalProofFailure("self-sum family has the wrong size")
-    target = FqSubset(ctx, ctx.nonzero_mask)
-    return _verified(ConstructionSpec(A_PLUS_A, p, n), ctx, (a, a), target, 1)
+    return _build(ConstructionSpec(A_PLUS_A, p, n))
 
 
 def build_ternary(p: int, n: int) -> Construction:
     """(A, B, C) with A + B + C = F_q^* and all sizes >= 2.  Needs p >= 5."""
     if p < 5:
         raise PTooSmall(f"ternary family needs p >= 5, got {p}")
-    ctx = make_field(p, n)
-    ab = FqSubset(ctx, _digit_product_bits(p, n, [0, 1]))
-    c = FqSubset(ctx, _digit_product_bits(p, n, _ternary_c_pattern(p)) & ~1)
-    target = FqSubset(ctx, ctx.nonzero_mask)
-    return _verified(ConstructionSpec(TERNARY, p, n), ctx, (ab, ab, c), target, 1)
+    return _build(ConstructionSpec(TERNARY, p, n))
 
 
 @dataclass(frozen=True)
@@ -167,30 +161,15 @@ def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
     span = 1
     basis: list[int] = []
     for x in iter_bits(fixed & ~1):
-        if (span >> x) & 1:
-            continue
-        basis.append(x)
-        acc, mult = span, 0
-        for _ in range(p - 1):
-            mult = ctx.add(mult, x)
-            acc |= ctx.translate_bits(span, mult)
-        span = acc
-        if len(basis) == k:
-            break
+        if not (span >> x) & 1:
+            basis.append(x)
+            span = _combinations(ctx, basis, range(p)).bits
+            if len(basis) == k:
+                break
     if span != fixed:  # pragma: no cover - dimension count rules this out
         raise InternalProofFailure("subfield basis does not span the fixed set")
     return SubfieldSd(ctx=ctx, k=k, d=d, spec=spec,
                       subfield=FqSubset(ctx, fixed), basis=tuple(basis))
-
-
-def _basis_product_bits(ctx: FieldCtx, basis, pattern) -> int:
-    bits = 0
-    for coords in product(pattern, repeat=len(basis)):
-        x = 0
-        for t, b in zip(coords, basis):
-            x = ctx.add(x, ctx.mul(t, b))
-        bits |= 1 << x
-    return bits
 
 
 def subfield_self_sum(p: int, n: int, k: int) -> Construction:
@@ -201,22 +180,11 @@ def subfield_self_sum(p: int, n: int, k: int) -> Construction:
     """
     if p < 7:
         raise PTooSmall(f"self-sum chain needs p >= 7, got {p}")
-    sub = subfield_S_d(p, n, k)
-    ctx = sub.ctx
-    bits = _basis_product_bits(ctx, sub.basis, _self_sum_pattern(p)) & ~1
-    a = FqSubset(ctx, bits)
-    return _verified(ConstructionSpec(A_PLUS_A, p, n, k), ctx, (a, a),
-                     sub.spec.members, sub.d)
+    return _build(ConstructionSpec(A_PLUS_A, p, n, k))
 
 
 def subfield_ternary(p: int, n: int, k: int) -> Construction:
     """The chain S_d = A + B + C for d = (q-1)/(p^k-1), p >= 5."""
     if p < 5:
         raise PTooSmall(f"ternary chain needs p >= 5, got {p}")
-    sub = subfield_S_d(p, n, k)
-    ctx = sub.ctx
-    ab = FqSubset(ctx, _basis_product_bits(ctx, sub.basis, [0, 1]))
-    c = FqSubset(ctx, _basis_product_bits(ctx, sub.basis,
-                                          _ternary_c_pattern(p)) & ~1)
-    return _verified(ConstructionSpec(TERNARY, p, n, k), ctx, (ab, ab, c),
-                     sub.spec.members, sub.d)
+    return _build(ConstructionSpec(TERNARY, p, n, k))

@@ -6,7 +6,8 @@ prime fields the index *is* the residue and index addition mod p agrees
 with field addition.  The modulus is the lexicographically smallest monic
 irreducible of degree n (coefficients compared low-degree first), and the
 generator is the smallest-index primitive element, so a (p, n) pair always
-produces the identical context.
+produces the identical context.  base_p_digits (a PExpansion) is the one
+codec between an integer and its digits.
 
 Every operation is a table lookup once the context is built:
 
@@ -290,12 +291,7 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     # lexicographically smallest (c_0, ..., c_{n-1}), low-degree digit first;
     # codes below p^(n-1) have c_0 = 0, a root at zero
     for code in range(p ** (n - 1), p**n):
-        digs = []
-        m = code
-        for _ in range(n):
-            digs.append(m % p)
-            m //= p
-        coeffs = digs[::-1] + [1]  # c_0 varies slowest
+        coeffs = [*base_p_digits(code, p).digits[::-1], 1]  # c_0 varies slowest
         if _is_irreducible(coeffs, p, n):
             return tuple(coeffs)
     raise InternalError  # pragma: no cover - irreducibles always exist
@@ -368,18 +364,8 @@ class FieldCtx:
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Length-n little-endian base-p coordinates of element index x."""
-        p = self.p
-        out = []
-        for _ in range(self.n):
-            out.append(x % p)
-            x //= p
-        return tuple(out)
-
-    def from_digits(self, digs) -> int:
-        v = 0
-        for d in reversed(tuple(digs)):
-            v = v * self.p + d
-        return v
+        digs = base_p_digits(x, self.p).digits
+        return digs + (0,) * (self.n - len(digs))
 
     # --- raw polynomial arithmetic (no tables needed) ---------------------
 
@@ -388,7 +374,7 @@ class FieldCtx:
             return (x * y) % self.p
         prod = _polymul_mod(list(self.digits(x)), list(self.digits(y)),
                             list(self.modulus), self.p)
-        return self.from_digits(prod + [0] * (self.n - len(prod)))
+        return PExpansion(self.p, tuple(prod)).value
 
     def _raw_pow(self, x: int, e: int) -> int:
         r = 1

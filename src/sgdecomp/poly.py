@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContextMismatch
-from .field import FieldCtx, _small_binom_table, lucas_binom_nonzero
+from .field import FieldCtx, _small_binom_table, base_p_digits, lucas_binom_nonzero
 
 NEG_INF = float("-inf")
 
@@ -166,13 +166,7 @@ def shifted_power(ctx: FieldCtx, a: int, e: int) -> FqPolynomial:
     if a == 0:
         return FqPolynomial(ctx, (0,) * e + (1,))
     p = ctx.p
-    digs = []
-    m = e
-    while True:
-        digs.append(m % p)
-        m //= p
-        if m == 0:
-            break
+    digs = base_p_digits(e, p).digits
     tbl = _small_binom_table(p)
     coeffs = [0] * (e + 1)
 
