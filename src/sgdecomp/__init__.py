@@ -52,6 +52,7 @@ from .field import (
     make_field_q,
 )
 from .poly import FqPolynomial, hyper_derivative, shifted_power
+from .reports import TOOL_VERSION as __version__
 from .search import (
     DecompWitness,
     SearchResult,
@@ -87,8 +88,6 @@ from .subsets import (
     sumset_many,
     translate,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Character",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import random
 import sys
 import time
@@ -46,7 +47,7 @@ from .search import (
 )
 from .stepanov import build_certificate, grow_hypothesis_pair, zero_polynomial_dichotomy
 from .structure import structure_check
-from .subsets import FqSubset
+from .subsets import FqSubset, sumset
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -199,11 +200,11 @@ def _revalidate(ctx, payload, d: int, min_size: int) -> bool:
 
 
 def _cmd_search(args):
-    ctx = make_field_q(args.q)
     flags = frozenset(DEFAULT_PRUNES - set(args.disable_prune))
     task = SearchTask(q=args.q, d=args.d, arity=args.arity,
                       min_part_size=args.min_size, budget=args.budget,
-                      prune_flags=flags)
+                      prune_flags=flags)  # checks the exhaustive cap
+    ctx = make_field_q(args.q)
     params = {"d": args.d, "arity": args.arity, "min_size": args.min_size,
               "budget": args.budget, "prunes": sorted(flags)}
     key = cachemod.cache_key(ctx.p, ctx.n, ctx.modulus, "search", params)
@@ -305,7 +306,6 @@ def _charsum_payload(ctx, chi, a_idx, b_idx, d):
     b = FqSubset.from_indices(ctx, b_idx)
     rep = double_char_sum(chi, a, b)
     s_bits = subgroup(ctx, d).members.bits
-    from .subsets import sumset
     inside = sumset(a, b).bits & ~s_bits == 0
     return {
         "value_re": rep.value.real,
@@ -445,10 +445,9 @@ def _replay_ok(q, d, min_size, parts) -> bool:
 
 def _cmd_selftest(args):
     if args.replay:
-        import json as _json
         try:
             with open(args.replay, encoding="utf-8") as fh:
-                report = _json.load(fh)
+                report = json.load(fh)
         except (OSError, ValueError) as exc:
             raise SgdecompError(f"cannot read report {args.replay}: {exc}") from exc
         found = []

@@ -83,6 +83,13 @@ class SearchTask:
                 f"min_part_size must be >= 1, got {self.min_part_size}")
         if self.budget is not None and self.budget < 0:
             raise HypothesisViolated(f"budget must be >= 0, got {self.budget}")
+        if not self.prune_flags <= DEFAULT_PRUNES:
+            raise HypothesisViolated(
+                f"unknown prune rules {sorted(self.prune_flags - DEFAULT_PRUNES)}")
+        cap = BINARY_Q_CAP if self.arity == 2 else TERNARY_Q_CAP
+        if self.q > cap:  # before any field is built
+            raise FieldTooLargeForExhaustive(
+                f"exhaustive mode needs q <= {cap}, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -375,10 +382,6 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
         raise HypothesisViolated(
             f"an arity-{task.arity} task given to the arity-{arity} search")
     q, d, min_sz = task.q, task.d, task.min_part_size
-    cap = BINARY_Q_CAP if arity == 2 else TERNARY_Q_CAP
-    if q > cap:
-        raise FieldTooLargeForExhaustive(
-            f"exhaustive mode needs q <= {cap}, got {q}")
     ctx = make_field_q(q)
     if d < 2 or d >= q - 1:
         raise DegenerateD(f"d={d} out of range for q={q}")

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+import sgdecomp.cli as cli_mod
 from sgdecomp.cache import CACHE_ENV, _canonical
 from sgdecomp.cli import main
-from sgdecomp.field import divisors, prime_powers
+from sgdecomp.field import FieldCtx, divisors, prime_powers
 
 
 def run(capsys, *argv):
@@ -200,6 +201,18 @@ def test_search_rejects_bad_limits_before_cache(capsys, monkeypatch, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.iterdir())  # nothing cached
+
+
+def test_over_cap_search_fails_before_any_field(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli_mod, "make_field_q", lambda q: built.append(q))
+    monkeypatch.setattr(FieldCtx, "__init__", lambda self, *a: built.append(a))
+    for q, arity in (("1048576", "2"), ("8192", "2"), ("121", "3")):
+        code, out, err = run(capsys, "search", "--q", q, "--d", "3",
+                             "--arity", arity, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: exhaustive mode needs q <= ")
+    assert built == []
 
 
 def test_construct_families(capsys):

@@ -264,7 +264,9 @@ def test_task_guards():
 
 def test_task_rejects_bad_size_floor_and_budget():
     for kwargs in ({"min_part_size": 0}, {"min_part_size": -3},
-                   {"arity": 3, "min_part_size": 0}, {"budget": -1}):
+                   {"arity": 3, "min_part_size": 0}, {"budget": -1},
+                   {"prune_flags": frozenset({"PRODUCT_LT_Q "})},
+                   {"prune_flags": DEFAULT_PRUNES | {"TYPO"}}):
         with pytest.raises(HypothesisViolated):
             SearchTask(q=13, d=3, **kwargs)
     res = search_binary(SearchTask(q=13, d=3, budget=0))
