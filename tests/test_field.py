@@ -224,6 +224,7 @@ GOLDEN_FIELDS = [
     (5, 6, "db659b9b4df36c9d7f89bff286eece2f86ce752b7f59b239087e01e40aa335f6"),
     (31, 2, "7438b170ac44fb209eebb995988ecf0c7d3366c39a0dc142eb9ead92ce1e19a6"),
     (7, 4, "577b4d0ced5d249770af81d195ba69a3474fd4df9a50ff947f16835ba79d42d8"),
+    (2, 20, "6419db1756aed0fb84ddc3a3afa8e703595b28494a8877de1b99f79ad3565da8"),
 ]
 
 
