@@ -38,16 +38,14 @@ class SubgroupSpec:
 
 
 def subgroup(ctx: FieldCtx, d: int) -> SubgroupSpec:
-    """The subgroup of d-th powers of F_q^*."""
+    """The subgroup of d-th powers of F_q^*, read off exp at stride d."""
     _check_d(ctx, d)
     bits = 0
-    dlog = ctx.dlog
-    for x in range(1, ctx.q):
-        if dlog[x] % d == 0:
-            bits |= 1 << x
+    for x in ctx.exp[::d]:  # g^(kd), k = 0 .. (q-1)/d - 1
+        bits |= 1 << x
     members = FqSubset(ctx, bits)
     order = (ctx.q - 1) // d
-    if members.card != order:  # pragma: no cover - dlog is a bijection
+    if members.card != order:  # pragma: no cover - exp has no repeats
         raise AssertionError("subgroup order mismatch")
     return SubgroupSpec(ctx, d, order, members)
 

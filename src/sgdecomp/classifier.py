@@ -107,9 +107,9 @@ class PairClass:
 
 def _check_pair(d: int, q: int) -> tuple[int, int]:
     p, n = factor_prime_power(q)
-    if d == 1 or d >= q - 1:
+    if d < 2 or d >= q - 1:
         raise DegenerateD(f"d={d} is degenerate for q={q}")
-    if d < 1 or (q - 1) % d != 0:
+    if (q - 1) % d != 0:
         raise NotADivisor(f"d={d} does not divide q-1={q - 1}")
     return p, n
 

@@ -26,6 +26,11 @@ is F_p-linear, so n products give the images of the coordinate basis x^j,
 and linear_images extends them to every index at one cheap step each (an
 xor for p = 2).  Walking that table from 1 lists the powers of g; adding 1
 only changes digit 0, so each Zech entry costs O(1).
+
+Before the tables exist, arithmetic is table-free, on little-endian
+coefficient lists over F_p: one remainder by a monic polynomial (_poly_rem)
+and one square-and-multiply (_polypow_mod) serve Rabin's irreducibility
+test for the modulus, the generator search and the Frobenius images.
 """
 
 from __future__ import annotations
@@ -101,8 +106,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     while m > 1:
         m //= p
         n += 1
-    if p**n != q:
-        raise NotAPrimePower(f"q={q} is not a power of {p}")
     return p, n
 
 
@@ -203,10 +206,18 @@ def lucas_binom_nonzero(top: int, bottom: int, p: int) -> tuple[bool, int]:
     return (res != 0, res)
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    """a mod the monic mod over F_p, trimmed; a is reduced in place."""
+    deg_m = len(mod) - 1
+    while len(a) > deg_m:
+        lead = a.pop()
+        if lead:
+            off = len(a) - deg_m
+            for j in range(deg_m):
+                a[off + j] = (a[off + j] - lead * mod[j]) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _polymul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -217,24 +228,16 @@ def _polymul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = (out[i + j] + ai * bj) % p
-    deg_m = len(mod) - 1
-    while len(out) > deg_m:
-        lead = out.pop()
-        if lead:
-            off = len(out) - deg_m
-            for j in range(deg_m):
-                out[off + j] = (out[off + j] - lead * mod[j]) % p
-    return _poly_trim(out)
+    return _poly_rem(out, mod, p)
 
 
-def _polypow_x_mod(e: int, mod: list[int], p: int) -> list[int]:
-    # x^e mod (mod, p) by square and multiply
+def _polypow_mod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    # a^e mod (mod, p) by square and multiply
     result = [1]
-    base = [0, 1]
     while e:
         if e & 1:
-            result = _polymul_mod(result, base, mod, p)
-        base = _polymul_mod(base, base, mod, p)
+            result = _polymul_mod(result, a, mod, p)
+        a = _polymul_mod(a, a, mod, p)
         e >>= 1
     return result
 
@@ -242,21 +245,8 @@ def _polypow_x_mod(e: int, mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = list(a), list(b)
     while b:
-        # a mod b, b monic-ized on the fly
         inv_lead = pow(b[-1], p - 2, p)
-        bb = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        while len(r) >= len(bb) and r:
-            lead = r[-1]
-            if lead:
-                off = len(r) - len(bb)
-                for j in range(len(bb)):
-                    r[off + j] = (r[off + j] - lead * bb[j]) % p
-            r.pop()
-            _poly_trim(r)
-            if not r:
-                break
-        a, b = b, _poly_trim(r)
+        a, b = b, _poly_rem(a, [(c * inv_lead) % p for c in b], p)
     return a
 
 
@@ -270,16 +260,13 @@ def _is_irreducible(coeffs: list[int], p: int, n: int) -> bool:
         if acc == 0:
             return False
     # x^(p^n) == x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for prime r | n
-    xq = _polypow_x_mod(p**n, coeffs, p)
-    if xq != [0, 1]:
+    if _polypow_mod([0, 1], p**n, coeffs, p) != [0, 1]:
         return False
     for r in prime_factors(n):
-        xe = _polypow_x_mod(p ** (n // r), coeffs, p)
-        diff = list(xe)
-        while len(diff) < 2:
-            diff.append(0)
+        # x^(p^(n/r)) - x, padded so that the x coefficient exists
+        diff = _polypow_mod([0, 1], p ** (n // r), coeffs, p) + [0, 0]
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(coeffs, _poly_trim(diff), p)
+        g = _poly_gcd(coeffs, _poly_rem(diff, coeffs, p), p)
         if len(g) > 1:
             return False
     return True
@@ -370,21 +357,15 @@ class FieldCtx:
     # --- raw polynomial arithmetic (no tables needed) ---------------------
 
     def _raw_mul(self, x: int, y: int) -> int:
-        if self.n == 1:
-            return (x * y) % self.p
         prod = _polymul_mod(list(self.digits(x)), list(self.digits(y)),
                             list(self.modulus), self.p)
         return PExpansion(self.p, tuple(prod)).value
 
     def _raw_pow(self, x: int, e: int) -> int:
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, b)
-            b = self._raw_mul(b, b)
-            e >>= 1
-        return r
+        if self.n == 1:
+            return pow(x, e, self.p)
+        power = _polypow_mod(list(self.digits(x)), e, list(self.modulus), self.p)
+        return PExpansion(self.p, tuple(power)).value
 
     def _build_tables(self) -> None:
         p, n, q = self.p, self.n, self.q

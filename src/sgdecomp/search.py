@@ -149,11 +149,6 @@ class _Gas:
             raise _BudgetExceeded
 
 
-@lru_cache(maxsize=None)
-def _subgroup_elems(ctx: FieldCtx, d: int) -> tuple[int, ...]:
-    return tuple(iter_bits(subgroup(ctx, d).members.bits))
-
-
 def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool:
     """Exact check: the parts sum to S_d and respect the size floor.
 
@@ -216,8 +211,8 @@ def _orbit_key(ctx: FieldCtx, d: int, parts, images=None):
                 for l in rows[-1][1]:
                     emits.setdefault(l, []).append(rows[-1])
     best = None
-    for lam in _subgroup_elems(ctx, d):
-        m = dlog[lam] - order  # exp[l + m] = lambda g^l; a negative index wraps
+    for m in range(-order, 0, d):  # m = log lambda - (q - 1), lambda in S_d
+        # exp[l + m] = lambda g^l; a negative index wraps
         dil = [(0, *sorted([exp[l + m] for l in logs])) for logs in heads.values()]
         # a row can only win if its first head part ties or beats the best
         for ids, logs, zero in rows if best is None or min(dil) <= best[0] else ():
@@ -292,11 +287,12 @@ def _size_pairs(lo, target, q, p, order, flags, counts):
 def _cover_enum(ctx, other_bits, cand_bits, target_bits, sizes, gas, sink):
     """All X with 0 in X <= cand and X + other = target, |X| in sizes.
 
-    Both callers keep 0 in cand and other inside target, so X = {0} covers
-    other.  Branches on the covering element of the lowest uncovered target
-    point; tried candidates are barred from sibling subtrees, so every
-    solution is emitted exactly once.  After full coverage, supersets are
-    enumerated when larger sizes are allowed.
+    The caller passes cand inside the intersection of target - b over b in
+    other, with 0 in it, so every a in cand has a + other inside target and
+    X = {0} covers other.  Branches on the covering element of the lowest
+    uncovered target point; tried candidates are barred from sibling
+    subtrees, so every solution is emitted exactly once.  After full
+    coverage, supersets are enumerated when larger sizes are allowed.
     """
     size_set = set(sizes)
     max_size = max(sizes)
@@ -333,10 +329,8 @@ def _cover_enum(ctx, other_bits, cand_bits, target_bits, sizes, gas, sink):
         for a in iter_bits(cand):
             bit = 1 << a
             avail &= ~bit
-            add = ctx.translate_bits(other_bits, a)
-            if add & ~target_bits:
-                continue
-            rec(chosen | bit, covered | add, avail, cnt + 1)
+            rec(chosen | bit, covered | ctx.translate_bits(other_bits, a),
+                avail, cnt + 1)
 
     rec(1, other_bits, cand_bits & ~1, 1)
 

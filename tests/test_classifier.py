@@ -71,6 +71,11 @@ def test_input_guards():
         classify_pair(5, 13)
     with pytest.raises(NotADivisor):
         delta_good_grid_sup(5, 13)
+    for d in (0, -3):  # -3 divides 12, but no d < 2 is a subgroup index here
+        with pytest.raises(DegenerateD):
+            classify_pair(d, 13)
+        with pytest.raises(DegenerateD):
+            delta_good_grid_sup(d, 13)
 
 
 def test_digits_and_bullets_q169_d2():

@@ -7,6 +7,7 @@ import pytest
 from sgdecomp.errors import CompositeP, FieldTooLarge, NotAPrimePower
 from sgdecomp.field import (
     DLOG_UNDEFINED,
+    _is_irreducible,
     base_p_digits,
     divisors,
     factor_prime_power,
@@ -140,6 +141,40 @@ def test_modulus_is_lex_smallest_known_cases():
     assert make_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert make_field(11, 2).modulus == (1, 0, 1)  # x^2 + 1, -1 not a square
     assert make_field(13, 1).modulus == (0, 1)
+
+
+def _mobius(m):
+    fs = prime_factors(m)
+    if math.prod(fs) != m:
+        return 0
+    return -1 if len(fs) % 2 else 1
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_irreducible_count_matches_gauss(p, top):
+    # (1/n) sum over k | n of mu(k) p^(n/k) monic irreducibles of degree n
+    for n in range(2, top + 1):
+        found = sum(_is_irreducible([*index_digits(code, p, n), 1], p, n)
+                    for code in range(p**n))
+        assert found == sum(_mobius(k) * p ** (n // k) for k in divisors(n)) // n
+
+
+def test_irreducible_rejects_rootless_reducibles():
+    # over F_2 neither has a root: x^4 + x^2 + 1 = (x^2 + x + 1)^2 fails
+    # x^16 = x, and (x^3 + x + 1)(x^3 + x^2 + 1), whose factors divide
+    # x^64 - x, fails only the gcd step
+    assert not _is_irreducible([1, 0, 1, 0, 1], 2, 4)
+    assert not _is_irreducible([1, 1, 1, 1, 1, 1, 1], 2, 6)
+
+
+@pytest.mark.parametrize("q", [13, 49, 64, 81, 125])
+def test_raw_pow_matches_repeated_multiplication(q):
+    ctx = make_field_q(q)
+    p, n = ctx.p, ctx.n
+    mod_low = list(ctx.modulus[:n])
+    for e in (0, 1, 2, p, q - 1, q, 3 * q + 5):
+        for x in range(q):
+            assert ctx._raw_pow(x, e) == naive_pow(x, e, p, n, mod_low)
 
 
 def test_generator_is_smallest_primitive():
