@@ -1,9 +1,13 @@
 """Multiplicative subgroups S_d and characters of order d.
 
 S_d = {x^d : x in F_q^*} has (q-1)/d elements; membership is dlog(x) = 0
-mod d.  A character of exact order d sends x to a d-th root of unity read
-off the dlog residue, with chi(0) = 0.  Double sums over A + B are computed
-exactly by bucketing pairs on that residue before any floating point enters.
+mod d.  subgroup and character take any d >= 1 dividing q - 1.  S_d is
+proper when also 2 <= d < q - 1 (d = 1 gives F_q^*, d = q - 1 gives {1});
+proper_indices and check_proper_index state that rule once for the
+classifier, the search and the command line.  A character of exact order d
+sends x to a d-th root of unity read off the dlog residue, with chi(0) = 0.
+Double sums over A + B are computed exactly by bucketing pairs on that
+residue before any floating point enters.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import (
     NotADivisor,
     TrivialCharacter,
 )
-from .field import DLOG_UNDEFINED, FieldCtx
+from .field import DLOG_UNDEFINED, FieldCtx, divisors
 from .subsets import FqSubset, _require_nonempty, _same_ctx, iter_bits, sumset
 
 
@@ -27,6 +31,19 @@ def _check_d(ctx: FieldCtx, d: int) -> None:
         raise DegenerateD(f"d={d} out of range")
     if (ctx.q - 1) % d != 0:
         raise NotADivisor(f"d={d} does not divide q-1={ctx.q - 1}")
+
+
+def proper_indices(q: int) -> list[int]:
+    """Sorted indices d of the proper subgroups S_d of F_q^*."""
+    return [d for d in divisors(q - 1) if 2 <= d < q - 1]
+
+
+def check_proper_index(q: int, d: int) -> None:
+    """Raise DegenerateD, then NotADivisor, unless S_d is proper in F_q^*."""
+    if d < 2 or d >= q - 1:
+        raise DegenerateD(f"d={d} is degenerate for q={q}")
+    if (q - 1) % d != 0:
+        raise NotADivisor(f"d={d} does not divide q-1={q - 1}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +57,11 @@ class SubgroupSpec:
 def subgroup(ctx: FieldCtx, d: int) -> SubgroupSpec:
     """The subgroup of d-th powers of F_q^*, read off exp at stride d."""
     _check_d(ctx, d)
-    bits = 0
+    # one base-2 parse, not a q-bit OR per member (quadratic in q)
+    digits, one = bytearray(b"0" * ctx.q), ord("1")
     for x in ctx.exp[::d]:  # g^(kd), k = 0 .. (q-1)/d - 1
-        bits |= 1 << x
-    members = FqSubset(ctx, bits)
+        digits[-1 - x] = one  # the last digit is bit 0
+    members = FqSubset(ctx, int(digits, 2))
     order = (ctx.q - 1) // d
     if members.card != order:  # pragma: no cover - exp has no repeats
         raise AssertionError("subgroup order mismatch")

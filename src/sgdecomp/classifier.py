@@ -14,10 +14,10 @@ impossibility at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 
-from .errors import DegenerateD, NotADivisor
+from .characters import check_proper_index
 from .field import PExpansion, base_p_digits, factor_prime_power, is_prime
 
 DELTA_GRID_DEN = 20  # delta ranges over k/20, k = 1..19
@@ -58,14 +58,7 @@ class TheoremVerdict:
     detail: dict
 
     def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "applies": self.applies,
-            "conclusion": self.conclusion,
-            "tier": self.tier,
-            "citation": self.citation,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -106,11 +99,8 @@ class PairClass:
 
 
 def _check_pair(d: int, q: int) -> tuple[int, int]:
-    p, n = factor_prime_power(q)
-    if d < 2 or d >= q - 1:
-        raise DegenerateD(f"d={d} is degenerate for q={q}")
-    if (q - 1) % d != 0:
-        raise NotADivisor(f"d={d} does not divide q-1={q - 1}")
+    p, n = factor_prime_power(q)  # refuses q above the field cap at once
+    check_proper_index(q, d)
     return p, n
 
 
@@ -176,17 +166,13 @@ def classify_pair(d: int, q: int) -> PairClass:
     )
 
 
-def theorem_verdicts(d: int, q: int) -> tuple[TheoremVerdict, ...]:
+def _verdicts(d: int, q: int, p: int, n: int, m: int, good: bool,
+              sup: int | None) -> tuple[TheoremVerdict, ...]:
     """Hypothesis predicates of every supported statement, with conclusions.
 
     CONDITIONAL entries read their ineffective thresholds at face value
     (constant = 1); their hypotheses never yield an impossibility claim.
     """
-    return classify_pair(d, q).verdicts
-
-
-def _verdicts(d: int, q: int, p: int, n: int, m: int, good: bool,
-              sup: int | None) -> tuple[TheoremVerdict, ...]:
     out = []
     small = 3 * m <= 2 * p
     m_prime = is_prime(m)

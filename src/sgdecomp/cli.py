@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import cache as cachemod
-from .characters import character, double_char_sum, subgroup
+from .characters import character, double_char_sum, proper_indices, subgroup
 from .classifier import classify_pair
 from .constructions import (
     A_PLUS_A,
@@ -29,7 +29,7 @@ from .constructions import (
     subfield_ternary,
 )
 from .errors import SgdecompError
-from .field import divisors, make_field, make_field_q, prime_powers
+from .field import make_field, make_field_q, prime_powers
 from .reports import (
     CONSTRUCTED,
     EXHAUSTIVE,
@@ -97,20 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     common(p)
 
-    p = sub.add_parser("stepanov", help="polynomial certificate for (A, B)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--A", type=_indices, required=True)
-    p.add_argument("--B", type=_indices, required=True)
-    common(p)
-
-    p = sub.add_parser("analyze",
-                       help="dichotomy and symmetric-function identities")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--A", type=_indices, required=True)
-    p.add_argument("--B", type=_indices, required=True)
-    common(p)
+    for name, text in (("stepanov", "polynomial certificate for (A, B)"),
+                       ("analyze",
+                        "dichotomy and symmetric-function identities")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--A", type=_indices, required=True)
+        p.add_argument("--B", type=_indices, required=True)
+        common(p)
 
     p = sub.add_parser("construct", help="verified decomposition families")
     p.add_argument("--family", required=True,
@@ -152,8 +147,7 @@ def _cmd_field(args):
         "q": ctx.q, "p": ctx.p, "n": ctx.n,
         "modulus": list(ctx.modulus),
         "generator": ctx.generator,
-        "subgroup_indices": [d for d in divisors(ctx.q - 1)
-                             if 2 <= d < ctx.q - 1],
+        "subgroup_indices": proper_indices(ctx.q),
     }
     return results, ctx, 0
 
@@ -172,7 +166,7 @@ def _csv_row(pc) -> list:
 def _cmd_classify(args):
     if args.qmax is not None:
         pairs = [(d, q) for q, _, _ in prime_powers(args.qmax)
-                 for d in divisors(q - 1) if 2 <= d < q - 1]
+                 for d in proper_indices(q)]
         rows = [classify_pair(d, q) for d, q in pairs]
         if args.json:
             return {"pairs": [pc.as_dict() for pc in rows],
@@ -185,8 +179,8 @@ def _cmd_classify(args):
         return None, None, 0
     if args.q is None or args.d is None:
         raise SgdecompError("classify needs --q and --d, or --qmax")
-    ctx = make_field_q(args.q)  # caps q before classify_pair factors it
     pc = classify_pair(args.d, args.q)
+    ctx = make_field_q(args.q)  # the report names the field
     return {"pair": pc.as_dict(), "provenance": THEOREM}, ctx, 0
 
 
@@ -228,11 +222,13 @@ def _cmd_search(args):
     return payload, ctx, 0
 
 
+def _pair(ctx, a_idx, b_idx) -> tuple[FqSubset, FqSubset]:
+    return FqSubset.from_indices(ctx, a_idx), FqSubset.from_indices(ctx, b_idx)
+
+
 def _cmd_stepanov(args):
     ctx = make_field_q(args.q)
-    a = FqSubset.from_indices(ctx, args.A)
-    b = FqSubset.from_indices(ctx, args.B)
-    cert = build_certificate(ctx, a, b, args.d)
+    cert = build_certificate(ctx, *_pair(ctx, args.A, args.B), args.d)
     results = cert.as_dict()
     results.update({
         "coefficients": list(cert.coefficients),
@@ -245,9 +241,7 @@ def _cmd_stepanov(args):
 
 def _cmd_analyze(args):
     ctx = make_field_q(args.q)
-    a = FqSubset.from_indices(ctx, args.A)
-    b = FqSubset.from_indices(ctx, args.B)
-    dich = zero_polynomial_dichotomy(ctx, a, b, args.d)
+    dich = zero_polynomial_dichotomy(ctx, *_pair(ctx, args.A, args.B), args.d)
     cert = dich.certificate
     rep = structure_check(cert)  # raises if a power-sum identity fails
     results = {
@@ -302,8 +296,7 @@ def _random_subset(rng: random.Random, q: int) -> list[int]:
 
 
 def _charsum_payload(ctx, chi, a_idx, b_idx, d):
-    a = FqSubset.from_indices(ctx, a_idx)
-    b = FqSubset.from_indices(ctx, b_idx)
+    a, b = _pair(ctx, a_idx, b_idx)
     rep = double_char_sum(chi, a, b)
     s_bits = subgroup(ctx, d).members.bits
     inside = sumset(a, b).bits & ~s_bits == 0
@@ -358,8 +351,7 @@ def _selftest_battery(seed: int) -> list[dict]:
 
     def golden():
         ctx = make_field_q(13)
-        cert = build_certificate(ctx, FqSubset.from_indices(ctx, (0, 7)),
-                                 FqSubset.from_indices(ctx, (1, 5)), 3)
+        cert = build_certificate(ctx, *_pair(ctx, (0, 7), (1, 5)), 3)
         assert cert.coefficients == (11, 2), cert.coefficients
         assert cert.binom_ok and cert.binom_residue == 5
         assert cert.poly.degree == 4
@@ -391,9 +383,7 @@ def _selftest_battery(seed: int) -> list[dict]:
         rng = random.Random(seed)
         for q in (13, 49):
             ctx = make_field_q(q)
-            for d in divisors(q - 1):
-                if not 2 <= d < q - 1:
-                    continue
+            for d in proper_indices(q):
                 for _ in range(10):
                     a, b = grow_hypothesis_pair(ctx, d, rng, max_size=6)
                     build_certificate(ctx, a, b, d)  # raises on violation

@@ -94,7 +94,14 @@ def divisors(m: int) -> list[int]:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, n) with q = p^n, or raise NotAPrimePower."""
+    """Return (p, n) with q = p^n, or raise NotAPrimePower.
+
+    q above Q_CAP raises FieldTooLarge before any trial division, so the
+    cap holds for every caller that starts from q: fields, classification
+    and searches.
+    """
+    if q > Q_CAP:
+        raise FieldTooLarge(f"q={q} exceeds the cap {Q_CAP}")
     if q < 2:
         raise NotAPrimePower(f"q={q} is not a prime power")
     fs = prime_factors(q)
@@ -516,8 +523,5 @@ def make_field(p: int, n: int = 1) -> FieldCtx:
 
 
 def make_field_q(q: int) -> FieldCtx:
-    """Context for F_q given the prime power q; q is capped before factoring."""
-    if q > Q_CAP:
-        raise FieldTooLarge(f"q={q} exceeds the cap {Q_CAP}")
-    p, n = factor_prime_power(q)
-    return make_field(p, n)
+    """Context for F_q given the prime power q (at most Q_CAP)."""
+    return make_field(*factor_prime_power(q))

@@ -44,10 +44,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .characters import subgroup
-from .errors import (DegenerateD, FieldTooLargeForExhaustive,
-                     HypothesisViolated, NotADivisor, SgdecompError)
-from .field import DLOG_UNDEFINED, FieldCtx, lucas_binom_nonzero, make_field_q
+from .characters import check_proper_index, subgroup
+from .errors import (FieldTooLargeForExhaustive, HypothesisViolated,
+                     SgdecompError)
+from .field import (DLOG_UNDEFINED, FieldCtx, factor_prime_power,
+                    lucas_binom_nonzero, make_field_q)
 from .subsets import FqSubset, iter_bits, sumset_many
 
 EXISTS = "EXISTS"
@@ -86,10 +87,13 @@ class SearchTask:
         if not self.prune_flags <= DEFAULT_PRUNES:
             raise HypothesisViolated(
                 f"unknown prune rules {sorted(self.prune_flags - DEFAULT_PRUNES)}")
+        # q and d are checked before any field is built
         cap = BINARY_Q_CAP if self.arity == 2 else TERNARY_Q_CAP
-        if self.q > cap:  # before any field is built
+        if self.q > cap:
             raise FieldTooLargeForExhaustive(
                 f"exhaustive mode needs q <= {cap}, got {self.q}")
+        factor_prime_power(self.q)
+        check_proper_index(self.q, self.d)
 
 
 @dataclass(frozen=True)
@@ -377,10 +381,6 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
             f"an arity-{task.arity} task given to the arity-{arity} search")
     q, d, min_sz = task.q, task.d, task.min_part_size
     ctx = make_field_q(q)
-    if d < 2 or d >= q - 1:
-        raise DegenerateD(f"d={d} out of range for q={q}")
-    if (q - 1) % d != 0:
-        raise NotADivisor(f"d={d} does not divide {q - 1}")
     order = (q - 1) // d
     s_bits = subgroup(ctx, d).members.bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}

@@ -7,6 +7,7 @@ from sgdecomp.characters import (
     character,
     double_char_sum,
     product_bound_check,
+    proper_indices,
     subgroup,
 )
 from sgdecomp.errors import (
@@ -15,7 +16,7 @@ from sgdecomp.errors import (
     NotADivisor,
     TrivialCharacter,
 )
-from sgdecomp.field import make_field_q
+from sgdecomp.field import divisors, make_field_q, prime_powers
 from sgdecomp.subsets import FqSubset
 
 
@@ -28,6 +29,12 @@ def test_subgroup_membership_via_dlog(f13, f49):
             assert spec.order == (ctx.q - 1) // d
             want = sorted({ctx.pow(x, d) for x in range(1, ctx.q)})
             assert spec.members.indices() == want
+
+
+def test_proper_indices_match_the_literal_filter():
+    for q, _, _ in prime_powers(5000):
+        assert proper_indices(q) == [d for d in divisors(q - 1)
+                                     if 2 <= d < q - 1]
 
 
 def test_subgroup_f13_d3_members(f13):

@@ -17,9 +17,8 @@ from sgdecomp.classifier import (
     classify_pair,
     delta_good_grid_sup,
     order_mod,
-    theorem_verdicts,
 )
-from sgdecomp.errors import DegenerateD, NotADivisor
+from sgdecomp.errors import DegenerateD, FieldTooLarge, NotADivisor
 from sgdecomp.field import (
     base_p_digits,
     divisors,
@@ -76,6 +75,9 @@ def test_input_guards():
             classify_pair(d, 13)
         with pytest.raises(DegenerateD):
             delta_good_grid_sup(d, 13)
+    for fn in (classify_pair, delta_good_grid_sup):  # refused before factoring
+        with pytest.raises(FieldTooLarge):
+            fn(2, 2**61 - 1)
 
 
 def test_digits_and_bullets_q169_d2():
@@ -219,14 +221,6 @@ def test_conditional_rules_never_claim_proved():
             for v in classify_pair(d, q).verdicts:
                 if v.conclusion == NO_TERNARY_DECOMP:
                     assert v.tier == CONDITIONAL
-
-
-def test_verdicts_standalone_matches_classify():
-    for (d, q) in [(2, 169), (8, 121), (8, 49), (3, 13), (2, 243)]:
-        pc = classify_pair(d, q)
-        alone = theorem_verdicts(d, q)
-        assert tuple(v.as_dict() for v in alone) == tuple(
-            v.as_dict() for v in pc.verdicts)
 
 
 def test_classification_is_deterministic():

@@ -212,6 +212,12 @@ def test_over_cap_search_fails_before_any_field(capsys, monkeypatch):
                              "--arity", arity, "--json")
         assert code == 1 and out == ""
         assert err.startswith("error: exhaustive mode needs q <= ")
+    for d, message in (("1", "d=1 is degenerate for q=13"),
+                       ("5", "d=5 does not divide q-1=12"),
+                       ("12", "d=12 is degenerate for q=13")):
+        code, out, err = run(capsys, "search", "--q", "13", "--d", d, "--json")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
     assert built == []
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import sgdecomp.search as search_mod
 from sgdecomp.errors import (DegenerateD, FieldTooLargeForExhaustive,
-                             HypothesisViolated, NotADivisor)
+                             HypothesisViolated, NotADivisor, NotAPrimePower)
 from sgdecomp.field import divisors, make_field_q
 from sgdecomp.reports import canonical_json
 from sgdecomp.search import (
@@ -260,6 +260,10 @@ def test_task_guards():
         search_binary(SearchTask(q=13, d=12))
     with pytest.raises(NotADivisor):
         search_binary(SearchTask(q=13, d=5))
+    with pytest.raises(NotADivisor):  # at construction, before any search
+        SearchTask(q=13, d=5)
+    with pytest.raises(NotAPrimePower):  # q is checked before d
+        SearchTask(q=12, d=5)
 
 
 def test_task_rejects_bad_size_floor_and_budget():
