@@ -1,11 +1,13 @@
 """On-disk result cache with checksums; corruption degrades to a miss.
 
 Entries are JSON files named by the sha256 of their canonical key, which
-includes the field identity (p, n, modulus), the subcommand, its parameters
-and a format version.  Payloads carry their own checksum; any mismatch,
-parse failure or version skew makes the entry invisible, so the worst a
-damaged cache can do is force recomputation.  Writers serialize through a
-per-directory lockfile.
+includes the field identity (p, n, modulus), the subcommand, its parameters,
+a format version and a digest of the package's sources.  Any code change is
+therefore a miss: a hit re-checks witnesses but never an absence, so an
+entry written by other code must never answer.  Payloads carry their own
+checksum; any mismatch, parse failure or version skew makes the entry
+invisible, so the worst a damaged cache can do is force recomputation.
+Writers serialize through a per-directory lockfile.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import os
 from pathlib import Path
 
 CACHE_ENV = "SGDECOMP_CACHE_DIR"
-CACHE_VERSION = 3  # bump when a report changes: a hit re-checks witnesses only
+CACHE_VERSION = 3  # the format of an entry
+SOURCE_DIGEST = hashlib.sha256(b"".join(
+    path.name.encode() + path.read_bytes()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")))).hexdigest()
 
 
 def cache_dir() -> Path:
@@ -32,7 +37,8 @@ def _canonical(obj) -> str:
 
 
 def cache_key(p: int, n: int, modulus, subcommand: str, params: dict) -> str:
-    raw = _canonical([p, n, list(modulus), subcommand, params, CACHE_VERSION])
+    raw = _canonical([p, n, list(modulus), subcommand, params, CACHE_VERSION,
+                      SOURCE_DIGEST])
     return hashlib.sha256(raw.encode()).hexdigest()
 
 

@@ -173,26 +173,15 @@ def base_p_digits(m: int, p: int) -> PExpansion:
     return PExpansion(p, tuple(digs))
 
 
-@lru_cache(maxsize=None)
-def _small_binom_table(p: int) -> tuple[tuple[int, ...], ...]:
-    # Pascal triangle mod p for arguments < p
-    rows = [[1]]
-    for i in range(1, p):
-        prev = rows[-1]
-        row = [1]
-        for j in range(1, i):
-            row.append((prev[j - 1] + prev[j]) % p)
-        row.append(1)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
-
-
 def lucas_binom_nonzero(top: int, bottom: int, p: int) -> tuple[bool, int]:
     """Whether C(top, bottom) is nonzero mod p, and the residue.
 
-    Computed digit by digit: the residue is the product of the digitwise
-    binomials, which vanishes exactly when some digit of bottom exceeds the
-    matching digit of top.
+    Lucas' theorem: the residue is the product of the digitwise binomials
+    C(t, b) with t, b < p, which vanishes exactly when some digit of bottom
+    exceeds the matching digit of top.  Each digit binomial is the product
+    of the min(b, t - b) factors (t - i)/(i + 1), all units mod p, so no
+    table is built: the numerators and denominators of every digit are
+    multiplied up and divided by one modular inverse at the end.
     """
     if not is_prime(p):
         raise CompositeP(f"p={p} is not prime")
@@ -200,17 +189,18 @@ def lucas_binom_nonzero(top: int, bottom: int, p: int) -> tuple[bool, int]:
         raise ValueError("binomial arguments must be nonnegative")
     if bottom > top:
         return (False, 0)
-    tbl = _small_binom_table(p)
-    res = 1
+    num = den = 1
     t, b = top, bottom
     while b:
         td, bd = t % p, b % p
         if bd > td:
             return (False, 0)
-        res = (res * tbl[td][bd]) % p
+        for i in range(min(bd, td - bd)):
+            num = num * (td - i) % p
+            den = den * (i + 1) % p
         t //= p
         b //= p
-    return (res != 0, res)
+    return (True, num * pow(den, -1, p) % p)
 
 
 def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:

@@ -11,9 +11,10 @@ root of multiplicity >= m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ContextMismatch
-from .field import FieldCtx, _small_binom_table, base_p_digits, lucas_binom_nonzero
+from .field import FieldCtx, base_p_digits
 
 NEG_INF = float("-inf")
 
@@ -135,7 +136,10 @@ class FqPolynomial:
 
 
 def hyper_derivative(f: FqPolynomial, k: int) -> FqPolynomial:
-    """k-th hyper-derivative: sum over j of C(j, k) c_j x^(j-k)."""
+    """k-th hyper-derivative: sum over j of C(j, k) c_j x^(j-k).
+
+    C(j, k) mod p is the exact binomial reduced mod p, cheap for small k.
+    """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     if k == 0:
@@ -149,39 +153,40 @@ def hyper_derivative(f: FqPolynomial, k: int) -> FqPolynomial:
         c = f.coeffs[j]
         if not c:
             continue
-        ok, res = lucas_binom_nonzero(j, k, ctx.p)
-        if ok:  # res < p is the index of the constant C(j, k) in any F_q
+        res = comb(j, k) % ctx.p
+        if res:  # res < p is the index of the constant C(j, k) in any F_q
             out[j - k] = ctx.mul(c, res)
     return FqPolynomial(ctx, _trim(out))
 
 
 def shifted_power(ctx: FieldCtx, a: int, e: int) -> FqPolynomial:
-    """(x + a)^e expanded through the digit-product binomial filter.
+    """(x + a)^e expanded through Lucas' theorem.
 
-    Only exponents j with C(e, j) nonzero mod p survive, so the expansion
-    touches prod(digit+1) terms instead of e+1.
+    Only j whose base-p digits are dominated by e's have C(e, j) nonzero mod
+    p, so prod(digit+1) terms are walked instead of e+1.  Each digit t's row
+    C(t, 0..t) mod p comes from C(t, c+1) = C(t, c) (t - c)/(c + 1).
     """
     if e < 0:
         raise ValueError("negative exponent")
     if a == 0:
         return FqPolynomial(ctx, (0,) * e + (1,))
     p = ctx.p
-    digs = base_p_digits(e, p).digits
-    tbl = _small_binom_table(p)
+    rows = []
+    for t in base_p_digits(e, p).digits:
+        row = [1]
+        for c in range(t):
+            row.append(row[-1] * (t - c) * pow(c + 1, -1, p) % p)
+        rows.append(row)
     coeffs = [0] * (e + 1)
 
-    # walk every j whose base-p digits are dominated by e's digits; the
-    # accumulated scalar is C(e, j) mod p, always a prime-subfield index
+    # the accumulated scalar is C(e, j) mod p, always a prime-subfield index
     def rec(level: int, j: int, scalar: int) -> None:
-        if level == len(digs):
+        if level == len(rows):
             coeffs[j] = ctx.mul(scalar, ctx.pow(a, e - j))
             return
-        row = tbl[digs[level]]
         pw = p**level
-        for choice in range(digs[level] + 1):
-            s2 = (scalar * row[choice]) % p
-            if s2:
-                rec(level + 1, j + choice * pw, s2)
+        for choice, c in enumerate(rows[level]):
+            rec(level + 1, j + choice * pw, scalar * c % p)
 
     rec(0, 0, 1)
     return FqPolynomial(ctx, _trim(coeffs))

@@ -41,7 +41,6 @@ first-level table but only the ternary split tables it reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 from .characters import check_proper_index, subgroup
@@ -242,12 +241,6 @@ def canonical_ternary_key(ctx: FieldCtx, d: int, parts, images=None):
     return _orbit_key(ctx, d, parts, images)
 
 
-@lru_cache(maxsize=None)
-def _tiling_forced(size: int, order: int, p: int) -> bool:
-    ok, _ = lucas_binom_nonzero(size - 1 + order, order, p)
-    return ok
-
-
 def _feasible_sizes(sizes, sb, target, q, p, order, flags, counts):
     """The |A| in the range sizes allowed when |B| = sb and |A + B| = target.
 
@@ -270,7 +263,8 @@ def _feasible_sizes(sizes, sb, target, q, p, order, flags, counts):
         elif distinct and prod != target:
             counts[DISTINCT_SUMS] += 1
         elif hanson and prod > order and (
-                _tiling_forced(sa, order, p) or _tiling_forced(sb, order, p)):
+                lucas_binom_nonzero(sa - 1 + order, order, p)[0]
+                or lucas_binom_nonzero(sb - 1 + order, order, p)[0]):
             counts[HANSON_PETRIDIS] += 1
         else:
             out.append(sa)

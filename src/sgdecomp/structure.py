@@ -107,7 +107,7 @@ def structure_check(cert: StepanovCertificate) -> StructureReport:
         raise HypothesisViolated("A + B is not exactly S_d")
     e, order = cert.exponent, cert.subgroup_order
     top_ok = cert.binom_ok
-    second_ok, _ = lucas_binom_nonzero(e, order - 1, ctx.p) if order >= 1 else (True, 1)
+    second_ok, _ = lucas_binom_nonzero(e, order - 1, ctx.p)
     ids = _power_sum_identities(cert)
 
     product_equals_order = cert.product == order

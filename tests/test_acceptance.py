@@ -17,7 +17,6 @@ from sgdecomp.characters import character, double_char_sum, subgroup
 from sgdecomp.classifier import classify_pair, delta_good_grid_sup, order_mod
 from sgdecomp.constructions import build_A_plus_A, build_ternary, subfield_self_sum
 from sgdecomp.field import (
-    _small_binom_table,
     divisors,
     is_prime,
     lucas_binom_nonzero,
@@ -264,9 +263,8 @@ def test_criterion_08_lucas_digit_equivalence():
     top = 5000
     for p in (2, 3, 5, 7, 13):
         pascal = pascal_rows_mod_p(top, p)
-        small = np.zeros((p, p), dtype=np.int64)
-        for i, row in enumerate(_small_binom_table(p)):
-            small[i, : len(row)] = row
+        small = np.array([[lucas_binom_nonzero(t, b, p)[1] for b in range(p)]
+                          for t in range(p)], dtype=np.int64)
         idx = np.arange(top + 1, dtype=np.int64)
         digit_prod = np.ones((top + 1, top + 1), dtype=np.int64)
         tq, bq = idx.copy(), idx.copy()

@@ -47,6 +47,14 @@ def test_version_skew_is_a_miss(monkeypatch, tmp_path):
     assert cache_get(key) is None
 
 
+def test_source_change_is_a_miss(monkeypatch, tmp_path):
+    # a hit never re-checks an absence, so other code's entry must not answer
+    use_tmp_cache(monkeypatch, tmp_path)
+    cache_put(cache_key(13, 1, (0, 1), "search", {"d": 3}), {"v": 1})
+    monkeypatch.setattr(cache_mod, "SOURCE_DIGEST", "0" * 64)
+    assert cache_get(cache_key(13, 1, (0, 1), "search", {"d": 3})) is None
+
+
 def test_checksum_tamper_is_a_miss(monkeypatch, tmp_path):
     use_tmp_cache(monkeypatch, tmp_path)
     key = cache_key(13, 1, (0, 1), "search", {"d": 3})

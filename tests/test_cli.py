@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +193,24 @@ def test_huge_field_is_an_error(capsys):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "exceeds the cap" in err
         assert "Traceback" not in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_large_prime_certificate_fits_one_gib():
+    # binomials mod p are computed when needed: a p x p table at q = 65521
+    # would not fit, and the cap keeps such a regression from taking the
+    # machine's memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdecomp", "stepanov", "--q", "65521", "--d",
+         "2", "--A", "0,1", "--B", "0", "--json"],
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert res["binom_ok"] and res["binom_residue"] == res["exponent"] == 32761
 
 
 def test_search_rejects_bad_limits_before_cache(capsys, monkeypatch, tmp_path):

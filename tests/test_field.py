@@ -101,6 +101,15 @@ def test_lucas_matches_integer_binomial():
                 assert ok == (want != 0)
                 assert res == want
     assert lucas_binom_nonzero(3, 5, 7) == (False, 0)
+    # a large prime: two-digit arguments, digit binomials up to C(65520, b)
+    rng = random.Random(94)
+    for _ in range(10):
+        t = rng.randrange(2 * 65521)
+        b = rng.randint(0, t)
+        want = math.comb(t, b) % 65521
+        assert lucas_binom_nonzero(t, b, 65521) == (want != 0, want)
+    # Wilson: C(p-1, k) = (-1)^k mod p, at the largest prime below 2^20
+    assert lucas_binom_nonzero(1048572, 524286, 1048573) == (True, 1)
 
 
 def test_lucas_rejects_composite_modulus():

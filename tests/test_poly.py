@@ -121,9 +121,10 @@ def test_hyper_derivative_composition(f13, rng):
 @pytest.mark.parametrize("q", [13, 49])
 def test_shifted_power_matches_repeated_multiplication(q, rng):
     ctx = make_field_q(q)
-    for _ in range(8):
-        a = rng.randrange(1, q)
-        e = rng.randint(0, 30)
+    cases = [(rng.randrange(1, q), rng.randint(0, 30)) for _ in range(8)]
+    # e = q - 1 has every base-p digit p - 1: 12 at q = 13, (6, 6) at q = 49
+    cases.append((rng.randrange(1, q), q - 1))
+    for a, e in cases:
         base = FqPolynomial.make(ctx, [a, 1])
         assert shifted_power(ctx, a, e).coeffs == base.pow(e).coeffs
     assert shifted_power(ctx, 0, 4).coeffs == (0, 0, 0, 0, 1)
