@@ -171,22 +171,15 @@ def shifted_power(ctx: FieldCtx, a: int, e: int) -> FqPolynomial:
     if a == 0:
         return FqPolynomial(ctx, (0,) * e + (1,))
     p = ctx.p
-    rows = []
+    terms, pw = [(0, 1)], 1  # (j, C(e, j) mod p) for the digits walked so far
     for t in base_p_digits(e, p).digits:
         row = [1]
         for c in range(t):
             row.append(row[-1] * (t - c) * pow(c + 1, -1, p) % p)
-        rows.append(row)
+        terms = [(j + c * pw, s * r % p)
+                 for j, s in terms for c, r in enumerate(row)]
+        pw *= p
     coeffs = [0] * (e + 1)
-
-    # the accumulated scalar is C(e, j) mod p, always a prime-subfield index
-    def rec(level: int, j: int, scalar: int) -> None:
-        if level == len(rows):
-            coeffs[j] = ctx.mul(scalar, ctx.pow(a, e - j))
-            return
-        pw = p**level
-        for choice, c in enumerate(rows[level]):
-            rec(level + 1, j + choice * pw, scalar * c % p)
-
-    rec(0, 0, 1)
+    for j, s in terms:  # s < p is the index of the constant C(e, j) in any F_q
+        coeffs[j] = ctx.mul(s, ctx.pow(a, e - j))
     return FqPolynomial(ctx, _trim(coeffs))
