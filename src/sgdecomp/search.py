@@ -5,12 +5,13 @@ translation with zero net shift, and simultaneous dilation by any lambda in
 S_d.  Every binary orbit therefore has a representative with 0 in A, min(B)
 = 1 and |B| <= |A|; every ternary orbit has one with 0 in A, 0 in B, min(C)
 = 1 and |C| <= |B| <= |A|.  Only those representatives (the emission form)
-are enumerated, and results are deduplicated by an explicit orbit-minimal
-canonical key.  An orbit is still emitted many times, so each search keeps
-a memo: computing an orbit's key visits every image of it, and the images
-in emission form are stored as bitmasks.  A later emission found there is
-skipped, so each orbit's key is computed once.  The key translates each
-part once, as dlogs, and dilates in the log domain by exp lookups.
+are enumerated.  Each witness is its orbit's orbit-minimal canonical key,
+itself a decomposition, so the witness list depends only on the orbit set,
+not on the enumeration order.  An orbit is emitted many times, so a search
+keeps a memo: computing an orbit's key visits every image of it, and the
+images in emission form are stored as bitmasks.  A later emission found
+there is skipped, so each orbit's key is computed once.  The key translates
+each part once, as dlogs, and dilates in the log domain by exp lookups.
 
 One search routine serves both arities, and one grower builds every pair
 of parts: A + B = S_d, or D + C = S_d and then A + B = D.  It grows the
@@ -97,12 +98,11 @@ class SearchTask:
 
 @dataclass(frozen=True)
 class DecompWitness:
+    """A witness is its orbit's canonical key: lists follow the orbit set."""
     parts: tuple[tuple[int, ...], ...]
-    canonical_key: tuple[tuple[int, ...], ...]
 
     def as_dict(self) -> dict:
-        return {"parts": [list(p) for p in self.parts],
-                "canonical_key": [list(p) for p in self.canonical_key]}
+        return {"parts": [list(p) for p in self.parts]}
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,10 @@ def _cover_enum(ctx, other_bits, cand_bits, target_bits, sizes, gas, sink):
             rec(chosen | bit, covered | ctx.translate_bits(other_bits, a),
                 avail, cnt + 1)
 
-    rec(1, other_bits, cand_bits & ~1, 1)
+    try:
+        rec(1, other_bits, cand_bits & ~1, 1)
+    finally:  # empty the self-referencing cells, so no cycle outlives the call
+        del rec, extras
 
 
 def _enum_second_parts(ctx, target_bits, first_forced, size_pairs, gas, sink):
@@ -365,7 +368,10 @@ def _enum_second_parts(ctx, target_bits, first_forced, size_pairs, gas, sink):
                 bit, shift = kids[t]
                 grow(b_bits | bit, kids[t + 1:], cand_a & shift, cnt + 1)
 
-        grow(1 << first_forced, pool, base_cand, 1)
+        try:
+            grow(1 << first_forced, pool, base_cand, 1)
+        finally:  # as in _cover_enum: grow's cell refers to grow
+            del grow
 
 
 def _search(task: SearchTask, arity: int) -> SearchResult:
@@ -380,7 +386,7 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
     rules = (q, ctx.p, order, task.prune_flags, counts)
     gas = _Gas(task.budget)
-    found = {}
+    found = set()  # the canonical keys of the orbits met
     seen = set()  # emission-form images of the orbits in found
     emissions = 0
 
@@ -394,11 +400,9 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
             return
         parts = tuple(tuple(iter_bits(bits)) for bits in parts_bits)
         if arity == 2:
-            key = canonical_binary_key(ctx, d, *parts, seen)
+            found.add(canonical_binary_key(ctx, d, *parts, seen))
         else:
-            key = canonical_ternary_key(ctx, d, parts, seen)
-        if key not in found:
-            found[key] = DecompWitness(parts=parts, canonical_key=key)
+            found.add(canonical_ternary_key(ctx, d, parts, seen))
 
     split_cache = {}  # (|C|, |D|) -> split size pairs, built on first use
 
@@ -420,7 +424,7 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
     except _BudgetExceeded:
         complete = False
 
-    witnesses = tuple(found[k] for k in sorted(found))
+    witnesses = tuple(DecompWitness(parts=k) for k in sorted(found))
     kind = EXISTS if witnesses else (NONE_EXHAUSTIVE if complete else UNKNOWN)
     return SearchResult(task=task, kind=kind, witnesses=witnesses,
                         complete=complete, nodes=gas.nodes, probes=gas.probes,
@@ -430,8 +434,8 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
 def search_binary(task: SearchTask) -> SearchResult:
     """All S_d = A + B up to symmetry, or a certified absence.
 
-    Representatives have 0 in A (so B lands inside S_d), min(B) = 1 via
-    dilation, and |B| <= |A| via the swap.
+    Enumerated forms have 0 in A (so B lands inside S_d), min(B) = 1 via
+    dilation, and |B| <= |A| via the swap; witnesses are their orbits' keys.
     """
     return _search(task, 2)
 

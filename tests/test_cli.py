@@ -387,12 +387,14 @@ GOLDEN_CLI = [
     (("selftest", "--json"),
      "9b8ff8e5e74d2e33ef922609e88e695847784be8b3cd41cf2c890d13496eafbf"),
     # both search entries re-recorded when reports gained probes and
-    # emissions and the B grower stopped visiting kids too few to finish B
+    # emissions and the B grower stopped visiting kids too few to finish B,
+    # and again when each witness became its orbit's canonical key (the old
+    # stdout with parts := canonical_key hashes to the new digest)
     (("search", "--q", "13", "--d", "3", "--no-cache", "--json"),
-     "dd7186ea48b35f3860229c8ccd2b40f9346a020b4f97d955cda7b86a5a1d8849"),
+     "c55a065fe814824c43c511ef6761737b2360b88f962fde9569b63af89e70bf20"),
     # re-recorded when ternary prune counts stopped counting rows |D| < |C|
     (("search", "--q", "49", "--d", "8", "--arity", "3", "--no-cache", "--json"),
-     "ea0acfbe992d99d9d2fb435273dafba34590c9e217431580c62fb8a0b685a214"),
+     "d8ad61b34eb9e8da49ce8b35ba37314cefafa506178950152e187f4c99c62289"),
 ]
 
 

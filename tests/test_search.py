@@ -1,5 +1,6 @@
 """Exhaustive decomposition search against independent brute force."""
 
+import gc
 import hashlib
 import random
 
@@ -148,6 +149,8 @@ def test_orbit_key_matches_reference_on_witnesses(fn, task):
     assert res.witnesses
     for w in res.witnesses:
         assert assert_key_matches_reference(ctx, task.d, w.parts)
+        # each witness is its own orbit's minimum under the oracle
+        assert w.parts == orbit_key_reference(ctx, task.d, w.parts)
 
 
 def oracle_binary(ctx, d):
@@ -166,7 +169,7 @@ def test_binary_search_matches_brute_force(q):
         res = search_binary(SearchTask(q=q, d=d))
         assert res.complete
         sols, keys, orbits = oracle_binary(ctx, d)
-        package_keys = {w.canonical_key for w in res.witnesses}
+        package_keys = {w.parts for w in res.witnesses}
         assert package_keys == keys, (q, d)
         assert len(res.witnesses) == orbits, (q, d)
         assert res.kind == (EXISTS if sols else NONE_EXHAUSTIVE)
@@ -184,7 +187,7 @@ def test_ternary_search_matches_brute_force(q):
         sols = brute_ternary_solutions(q, s, ctx.add, ctx.neg)
         keys = {canonical_ternary_key(ctx, d, tuple(map(bits_tuple, sol)))
                 for sol in sols}
-        package_keys = {w.canonical_key for w in res.witnesses}
+        package_keys = {w.parts for w in res.witnesses}
         assert package_keys == keys, (q, d)
         assert len(res.witnesses) == orbit_count(
             sols, q, s, ctx.add, ctx.neg, ctx.mul), (q, d)
@@ -216,10 +219,25 @@ def test_prunes_do_not_change_answers():
         full = search_binary(SearchTask(q=q, d=d))
         bare = search_binary(SearchTask(q=q, d=d, prune_flags=frozenset()))
         assert bare.complete
-        assert {w.canonical_key for w in full.witnesses} == \
-               {w.canonical_key for w in bare.witnesses}
+        assert full.witnesses == bare.witnesses
         assert full.kind == bare.kind
     assert DEFAULT_PRUNES  # the default set is nonempty
+
+
+@pytest.mark.parametrize("fn,task", [
+    (search_binary, SearchTask(q=81, d=10)),
+    (search_ternary, SearchTask(q=49, d=8, arity=3)),
+    (search_binary, SearchTask(q=397, d=2, budget=2000)),  # budget raises out
+], ids=["2-81-10", "3-49-8", "2-397-2-budget"])
+def test_search_leaves_no_cyclic_garbage(fn, task):
+    make_field_q(task.q)  # build and cache the field first
+    gc.collect()
+    gc.disable()
+    try:
+        fn(task)
+        assert gc.collect() == 0  # refcounting alone freed the search
+    finally:
+        gc.enable()
 
 
 def test_prune_counters_recorded():
@@ -371,18 +389,23 @@ def test_grower_hands_on_every_feasible_b_once(monkeypatch, q, d):
 # |D| < |C|; only their prune counts changed.  Every entry but (73, 2) was
 # re-recorded when the reports gained probes and emissions and the B grower
 # stopped visiting kids too few to finish B; with those two counters removed
-# and nodes set back, each hashes to its old digest.
+# and nodes set back, each hashes to its old digest.  Every entry with
+# witnesses was re-recorded when each witness became its orbit's canonical
+# key: the old report with each witness's parts replaced by its
+# canonical_key, and that entry dropped, hashes to the new digest; counters,
+# kinds and orbit counts did not move, and entries without witnesses kept
+# their digests.
 GOLDEN_DIGESTS = [
     (search_binary, SearchTask(q=49, d=8),
-     "c51f709b4d32ca33f2c7a9801040958d34277419099d09a607ad837ce95777e8"),
+     "31068df5b125aa27f2a0c96eb4d9b83f0eb67960e37549bb4862f9c361958dfc"),
     (search_binary, SearchTask(q=81, d=10),
-     "aa123459f071c26f07d0e83e9b684c2c2ce81d1897f9d85f1e62a164ff7c6699"),
+     "e5435496d4fb056a06add999c94f0bc41d8197653e2082f8979852f68d4e9877"),
     (search_binary, SearchTask(q=121, d=12),
-     "13e2a7174b725b0250a16d64cd7a53ee6abd6ff2f53e81169af53f5e256f8432"),
+     "ada90a3c2f1d0b1f718ec36af84d5dfb853d07e643c17a52aaf6d4bd92c0d071"),
     (search_binary, SearchTask(q=169, d=14, budget=2000),
-     "6092ac7a735dd1b63fb52afd7aa036cc9fd63c5468d040fb342283bbe6e998ca"),
+     "587da197c47e2598fbd34d8db672286d436b232b07819bb856df66931023843e"),
     (search_ternary, SearchTask(q=49, d=8, arity=3),
-     "a2662df14d580a546484af0a3fa28998dfaabad180370ec4799bdf60900e42c9"),
+     "1d2c07bba732ec0c5a3b6c9f7f1436eaeca569472315315f89f3bdddd8557e70"),
     # budget-truncated ternary runs: the first-level table is counted whole
     # (at (61, 2) PRODUCT_LT_Q reads 361), and only the split tables are
     # built lazily, so their counts stop where the budget does
@@ -392,11 +415,11 @@ GOLDEN_DIGESTS = [
      "e26068daef026ac3aa8ba7d73020c1b3279fafc3718e3642354a2d98de57a051"),
     (search_ternary, SearchTask(q=49, d=8, arity=3,
                                 prune_flags=DEFAULT_PRUNES - {CAUCHY_DAVENPORT}),
-     "ef624b34a5adeeaeeda6b74e0652af0a0ddef8b8f7f9f32d517a270e4fee1af5"),
+     "0fcc45abee8207bd3a0a52be4b7033ec228676eb357e8d4999257851055ce404"),
     (search_binary, SearchTask(q=49, d=8, prune_flags=frozenset()),
-     "45cd2b249a6f8bb2627cd4c4f33e039b340a845a1fe521280c2408de6f8e3979"),
+     "3b1a503b2bdef5e7d1abe6546e0ce08fca13aa5a613cc23cb9675fa2016c4ae6"),
     (search_binary, SearchTask(q=13, d=3, min_part_size=1),
-     "f1f9b4d63c28e17423c4e5af8721655a868bdcc0794c75a3fa385a2bf2a68397"),
+     "883e66af4c66a8a25882972a80a5d54f9a8f30849f52974f16cdc8146046eebc"),
     # complete and witness-free: 1,379 nodes (2,084 without the kids bound)
     (search_binary, SearchTask(q=73, d=2),
      "705679b9e3f2671e1abc6c50d1ecd13d86e31bd1531133cc1fb473bc00255d49"),
@@ -407,7 +430,7 @@ GOLDEN_DIGESTS = [
      "f27d2a0baf5fe4085ce76cf31e6d6771b9714232d888b19a2a9bd43386f61374"),
     # |C| = 1 and |B| = 1 splits
     (search_ternary, SearchTask(q=61, d=2, arity=3, min_part_size=1, budget=3000),
-     "a7d2455f34f3c89ded508f5ea6d1fea525b74a886f503b632555492bbf2e3ffb"),
+     "a1398ba00ede6e2f1fd12055d3c4ec943ecc71d4d16dde6c68211513bd7b3637"),
     (search_binary, SearchTask(q=397, d=2, budget=2000,
                                prune_flags=DEFAULT_PRUNES - {DISTINCT_SUMS}),
      "53fd842af57261b5eaab9facecb3c4a3b72ab45af61e0029230a3d0fee52e121"),
