@@ -7,12 +7,11 @@ therefore a miss: a hit re-checks witnesses but never an absence, so an
 entry written by other code must never answer.  Payloads carry their own
 checksum; any mismatch, parse failure or version skew makes the entry
 invisible, so the worst a damaged cache can do is force recomputation.
-Writers serialize through a per-directory lockfile.
 """
 
 from __future__ import annotations
 
-import fcntl
+import contextlib
 import hashlib
 import json
 import os
@@ -64,25 +63,25 @@ def cache_get(key: str):
 
 
 def cache_put(key: str, payload) -> Path | None:
-    """Store payload under key; I/O trouble is swallowed (cache is advisory)."""
-    base = cache_dir()
+    """Store payload under key; I/O trouble is swallowed (cache is advisory).
+
+    Each write goes to a temporary file of its own and is renamed onto the
+    entry, so a reader sees the old entry or the new one, never a mix.
+    """
     path = _entry_path(key)
+    tmp = path.with_name(f"{key}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    entry = {
+        "version": CACHE_VERSION,
+        "checksum": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
+        "payload": payload,
+    }
     try:
-        base.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "version": CACHE_VERSION,
-            "checksum": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
-            "payload": payload,
-        }
-        lock_path = base / ".lock"
-        with open(lock_path, "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                tmp = path.with_suffix(".tmp")
-                tmp.write_text(_canonical(entry), encoding="utf-8")
-                os.replace(tmp, path)
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "x", encoding="utf-8") as fh:  # the umask applies
+            fh.write(_canonical(entry))
+        os.replace(tmp, path)
         return path
     except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         return None

@@ -1,9 +1,10 @@
 """Command-line front end: certificates, classification, search, reports.
 
-Exit codes: 0 success, 1 verified-hypothesis or self-test failure, 2 usage
-error.  Output is a JSON run report under --json, a plain text rendering
-otherwise; identical inputs produce byte-identical JSON unless --timings
-is requested (wall time is the one nondeterministic field).
+Exit codes: 0 success; 1 on a domain error (one error: line on stderr), a
+failed self-test or replay, or a character sum above its bound; 2 on a
+usage error.  Output is a JSON run report under --json, a plain text
+rendering otherwise; identical inputs produce byte-identical JSON unless
+--timings is requested (wall time is the one nondeterministic field).
 """
 
 from __future__ import annotations
@@ -184,13 +185,17 @@ def _cmd_classify(args):
     return {"pair": pc.as_dict(), "provenance": THEOREM}, ctx, 0
 
 
-def _revalidate(ctx, payload, d: int, min_size: int) -> bool:
-    for w in payload.get("witnesses", []):
-        if not verify_witness(ctx, w["parts"], d, min_size):
-            return False
-    if payload.get("kind") == EXISTS and not payload.get("witnesses"):
+def _revalidate(task: SearchTask, payload) -> bool:
+    """Whether a cached payload answers task, by the check --replay runs."""
+    if not isinstance(payload, dict) or any(
+            payload.get(f) != getattr(task, f)
+            for f in ("q", "d", "arity", "min_part_size")):
         return False
-    return True
+    found = []
+    _walk_witnesses(payload, found)
+    if not all(_replay_ok(*w) for w in found):
+        return False
+    return (payload.get("kind") == EXISTS) == bool(found)
 
 
 def _cmd_search(args):
@@ -205,8 +210,7 @@ def _cmd_search(args):
     payload = None
     if not args.no_cache:
         payload = cachemod.cache_get(key)
-        if payload is not None and not _revalidate(ctx, payload, args.d,
-                                                   args.min_size):
+        if payload is not None and not _revalidate(task, payload):
             payload = None
         if payload is not None:
             payload = dict(payload, cached=True)

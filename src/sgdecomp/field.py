@@ -16,10 +16,10 @@ Every operation is a table lookup once the context is built:
     x + y = g^(log x + zech[log y - log x]), and a negation table;
   * prime fields add and negate mod p and build neither extra table.
 
-Subsets are bit masks over the indices.  A prime field translates a mask
-by rotating it.  For n > 1 the comb mask combs[j] has a bit at every
-multiple of p^(j+1), and adding t_j p^j to every index is one shift-and-mask
-step on the whole mask, with no loop over digit values.
+Subsets are bit masks over the indices.  The comb mask combs[j] has a bit
+at every multiple of p^(j+1), and adding t_j p^j to every index is one
+shift-and-mask step on the whole mask, with no loop over digit values; in a
+prime field that one step is a rotation.
 
 The build never multiplies polynomials per element.  Multiplication by g
 is F_p-linear, so n products give the images of the coordinate basis x^j,
@@ -396,7 +396,7 @@ class FieldCtx:
             raise InternalError
         self.exp = exp
         self.dlog = dlog
-        self.zech = self.neg_table = self.combs = None
+        self.zech = self.neg_table = None
         if n > 1:
             # zech[k] = dlog(1 + g^k), -1 where g^k = -1; adding 1 changes
             # only digit 0.  A generator, so no list of q entries is built.
@@ -409,15 +409,14 @@ class FieldCtx:
                 neg = [exp[k - order // 2] for k in dlog]
                 neg[0] = 0  # dlog[0] is the sentinel
                 self.neg_table = neg
-            # combs[j]: a bit at every multiple of p^(j+1) below q, by doubling
-            combs = []
-            for j in range(n):
-                comb, span = 1, p ** (j + 1)
-                while span < q:
-                    comb |= comb << span
-                    span *= 2
-                combs.append(comb & self.full_mask)
-            self.combs = combs
+        # combs[j]: a bit at every multiple of p^(j+1) below q, by doubling
+        self.combs = combs = []
+        for j in range(n):
+            comb, span = 1, p ** (j + 1)
+            while span < q:
+                comb |= comb << span
+                span *= 2
+            combs.append(comb & self.full_mask)
 
     # --- public element arithmetic ----------------------------------------
 
@@ -472,9 +471,6 @@ class FieldCtx:
         """
         if t == 0 or bits == 0:
             return bits
-        if self.n == 1:
-            p = self.p
-            return ((bits << t) | (bits >> (p - t))) & self.full_mask
         p, full = self.p, self.full_mask
         block = 1
         for comb in self.combs:

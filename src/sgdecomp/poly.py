@@ -111,29 +111,6 @@ class FqPolynomial:
             acc = ctx.add(ctx.mul(acc, x), c)
         return acc
 
-    def divmod(self, other: "FqPolynomial") -> tuple["FqPolynomial", "FqPolynomial"]:
-        """Quotient and remainder; other must be nonzero."""
-        self._check(other)
-        ctx = self.ctx
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lead = ctx.inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            lead = rem[-1]
-            if lead:
-                factor = ctx.mul(lead, inv_lead)
-                off = len(rem) - 1 - db
-                quo[off] = factor
-                for j in range(db + 1):
-                    rem[off + j] = ctx.sub(rem[off + j], ctx.mul(factor, other.coeffs[j]))
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return FqPolynomial(ctx, _trim(quo)), FqPolynomial(ctx, _trim(rem))
-
 
 def hyper_derivative(f: FqPolynomial, k: int) -> FqPolynomial:
     """k-th hyper-derivative: sum over j of C(j, k) c_j x^(j-k).

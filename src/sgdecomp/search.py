@@ -314,8 +314,6 @@ def _cover_enum(ctx, other_bits, cand_bits, target_bits, sizes, gas, sink):
         if covered == target_bits:
             extras(chosen, avail, cnt)
             return
-        if cnt >= max_size:
-            return
         uncovered = target_bits & ~covered
         if (max_size - cnt) * m < uncovered.bit_count():
             return

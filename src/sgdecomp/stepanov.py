@@ -217,30 +217,28 @@ def grow_hypothesis_pair(ctx: FieldCtx, d: int, rng: random.Random,
     Used by property tests and the self-test battery: every grown pair is a
     legitimate certificate input by construction.
     """
-    spec = subgroup(ctx, d)
-    target = spec.members.bits | 1
-    a_bits = 1 << rng.randrange(ctx.q)
-    cand_b = ctx.translate_bits(target, ctx.neg(next(iter_bits(a_bits))))
-    b_bits = 1 << rng.choice(list(iter_bits(cand_b)))
+    target = subgroup(ctx, d).members.bits | 1
+    a = rng.randrange(ctx.q)
+    a_bits, for_b = 1 << a, ctx.translate_bits(target, ctx.neg(a))
+    b = rng.choice(list(iter_bits(for_b)))
+    b_bits, for_a = 1 << b, ctx.translate_bits(target, ctx.neg(b))
     cap = max_size if max_size is not None else ctx.q
-
-    def cand(other_bits: int) -> int:
-        acc = ctx.full_mask
-        for t in iter_bits(other_bits):
-            acc &= ctx.translate_bits(target, ctx.neg(t))
-        return acc
-
+    # for_a is the intersection of target - t over t in B; for_b over t in A
     while True:
-        cand_a = cand(b_bits) & ~a_bits
-        cand_b = cand(a_bits) & ~b_bits
+        cand_a = for_a & ~a_bits
+        cand_b = for_b & ~b_bits
         grow_a = cand_a != 0 and a_bits.bit_count() < cap
         grow_b = cand_b != 0 and b_bits.bit_count() < cap
         if not grow_a and not grow_b:
             break
         if grow_a and (not grow_b or rng.random() < 0.5):
-            a_bits |= 1 << rng.choice(list(iter_bits(cand_a)))
+            a = rng.choice(list(iter_bits(cand_a)))
+            a_bits |= 1 << a
+            for_b &= ctx.translate_bits(target, ctx.neg(a))
         else:
-            b_bits |= 1 << rng.choice(list(iter_bits(cand_b)))
+            b = rng.choice(list(iter_bits(cand_b)))
+            b_bits |= 1 << b
+            for_a &= ctx.translate_bits(target, ctx.neg(b))
         if rng.random() < 0.15:  # stop early sometimes for size variety
             break
     return FqSubset(ctx, a_bits), FqSubset(ctx, b_bits)

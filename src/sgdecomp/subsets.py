@@ -1,9 +1,9 @@
 """Subsets of F_q as immutable bit masks over element indices.
 
-Set bit i means element index i is present.  Prime-field translation is a
-cyclic shift of the mask; extension fields take one shift-and-mask step per
-nonzero digit of the shift (FieldCtx.translate_bits), so sumsets cost one
-mask translation per element of the smaller operand regardless of the field
+Set bit i means element index i is present.  Translation takes one
+shift-and-mask step per nonzero digit of the shift (FieldCtx.translate_bits;
+in a prime field the one step is a rotation), so sumsets cost one mask
+translation per element of the smaller operand regardless of the field
 shape.
 """
 

@@ -1,6 +1,9 @@
 """On-disk cache behaviour: hits, misses, and corruption handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 from sgdecomp import cache as cache_mod
 from sgdecomp.cache import CACHE_ENV, cache_dir, cache_get, cache_key, cache_put
@@ -91,3 +94,54 @@ def test_rewrite_replaces(monkeypatch, tmp_path):
     cache_put(key, {"value": 1})
     cache_put(key, {"value": 2})
     assert cache_get(key) == {"value": 2}
+
+
+def test_entry_mode_follows_umask(monkeypatch, tmp_path):
+    use_tmp_cache(monkeypatch, tmp_path)
+    old = os.umask(0o027)
+    try:
+        path = cache_put(cache_key(13, 1, (0, 1), "search", {"d": 3}), {"v": 1})
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_failed_write_leaves_no_temporary(monkeypatch, tmp_path):
+    use_tmp_cache(monkeypatch, tmp_path)
+    key = cache_key(13, 1, (0, 1), "search", {"d": 3})
+    (cache_dir() / f"{key}.json").mkdir(parents=True)  # os.replace must fail
+    assert cache_put(key, {"v": 1}) is None
+    assert [path.name for path in cache_dir().iterdir()] == [f"{key}.json"]
+
+
+_WRITER = """
+import sys
+from sgdecomp.cache import cache_put
+for _ in range(50):
+    assert cache_put(sys.argv[1], {"witnesses": list(range(20000))})
+"""
+
+
+def test_concurrent_writers_leave_one_whole_entry(monkeypatch, tmp_path):
+    # each write renames its own temporary file, so no lock is needed and a
+    # reader sees a whole entry or none
+    use_tmp_cache(monkeypatch, tmp_path)
+    key = cache_key(13, 1, (0, 1), "search", {"d": 3})
+    payload = {"witnesses": list(range(20000))}
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, key])
+             for _ in range(4)]
+    reads = []
+    try:
+        while any(proc.poll() is None for proc in procs):
+            reads.append(cache_get(key))
+    finally:
+        for proc in procs:
+            proc.wait(timeout=60)
+    assert [proc.returncode for proc in procs] == [0] * 4
+    assert all(read is None or read == payload for read in reads)
+    # once written, the entry stays whole: no read sees a truncated file
+    first = next((i for i, read in enumerate(reads) if read is not None),
+                 len(reads))
+    assert None not in reads[first:]
+    assert cache_get(key) == payload
+    assert [path.name for path in cache_dir().iterdir()] == [f"{key}.json"]

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import sgdecomp.cli as cli_mod
-from sgdecomp.cache import CACHE_ENV, _canonical
+from sgdecomp.cache import CACHE_ENV, _canonical, cache_put
 from sgdecomp.cli import main
 from sgdecomp.field import FieldCtx, divisors, prime_powers
 
@@ -161,6 +162,52 @@ def test_search_cache_tamper_forces_recompute(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert report["results"]["cached"] is False  # bad witness rejected
     assert report["results"]["witnesses"][0]["parts"] != [[0, 1], [0, 1]]
+
+
+def test_search_caches_without_fcntl(tmp_path):
+    # writes need no lockfile, so a platform without fcntl still caches
+    code = ("import sys; sys.modules['fcntl'] = None\n"
+            "from sgdecomp.cli import main\n"
+            "sys.exit(main(['search', '--q', '13', '--d', '3', '--json']))")
+    env = dict(os.environ, **{CACHE_ENV: str(tmp_path)})
+    cached = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        cached.append(json.loads(proc.stdout)["results"]["cached"])
+    assert cached == [False, True]
+
+
+def _witnesses(value):
+    return lambda payload: dict(payload, witnesses=value)
+
+
+@pytest.mark.parametrize("forge", [
+    lambda payload: [payload],
+    lambda payload: "abc",
+    _witnesses("abc"),
+    _witnesses([5]),
+    _witnesses([{"x": 1}]),
+    lambda payload: dict(payload, q=7),
+    lambda payload: dict(payload, kind="NONE_EXHAUSTIVE"),
+], ids=["list", "string", "witnesses-string", "witness-int", "witness-no-parts",
+        "other-q", "kind-without-exists"])
+def test_search_malformed_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path,
+                                                forge):
+    # a checksummed entry that does not pass the --replay check is stale
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    argv = ("search", "--q", "13", "--d", "3")
+    _, fresh, _ = run_json(capsys, *argv, "--no-cache")
+    run_json(capsys, *argv)
+    (entry,) = tmp_path.glob("*.json")
+    payload = {k: v for k, v in fresh["results"].items() if k != "cached"}
+    assert cache_put(entry.stem, forge(payload)) == entry
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0 and report["results"]["cached"] is False
+    assert report == fresh
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0 and report["results"]["cached"] is True
 
 
 def test_search_no_cache_flag(capsys, monkeypatch, tmp_path):

@@ -15,7 +15,13 @@ from sgdecomp.constructions import (
 )
 from sgdecomp.errors import NotAProperDivisor, PTooSmall
 from sgdecomp.field import make_field
-from sgdecomp.search import SearchTask, canonical_binary_key, search_binary
+from sgdecomp.search import (
+    SearchTask,
+    canonical_binary_key,
+    search_binary,
+    verify_witness,
+)
+from sgdecomp.subsets import FqSubset
 
 from oracles import naive_add
 
@@ -143,10 +149,16 @@ def test_chain_witness_is_found_by_search():
     key = canonical_binary_key(ctx, 8, a, a)
     res = search_binary(SearchTask(q=49, d=8))
     assert res.kind == "EXISTS" and res.complete
-    keys = {w.parts for w in res.witnesses}
-    assert key in keys
-    # at least one orbit admits an equal-parts representative
-    assert any(w.parts == key for w in res.witnesses)
+    assert key in {w.parts for w in res.witnesses}
+    # the key's parts are translates, B = A + s; as p is odd, (A + s/2,
+    # B - s/2) is an equal-parts pair in the orbit
+    a_bits, b_bits = (FqSubset.from_indices(ctx, part).bits for part in key)
+    shifts = [s for s in range(ctx.q) if ctx.translate_bits(a_bits, s) == b_bits]
+    assert key == ((0, 1, 3), (2, 3, 5)) and shifts == [2]
+    half = ctx.mul(shifts[0], ctx.inv(2))
+    x = tuple(FqSubset(ctx, ctx.translate_bits(a_bits, half)).indices())
+    assert verify_witness(ctx, (x, x), 8)
+    assert canonical_binary_key(ctx, 8, x, x) == key
 
 
 def test_as_dict_payload():

@@ -57,19 +57,6 @@ def test_eval_is_horner(f13, rng):
         assert f.eval(x) == want
 
 
-def test_divmod_roundtrip(f49, rng):
-    for _ in range(30):
-        f = _random_poly(f49, rng, max_deg=15)
-        g = _random_poly(f49, rng, max_deg=6)
-        if g.is_zero:
-            with pytest.raises(ZeroDivisionError):
-                f.divmod(g)
-            continue
-        quo, rem = f.divmod(g)
-        assert rem.degree < g.degree or rem.is_zero
-        assert quo.mul(g).add(rem).coeffs == f.coeffs
-
-
 def test_hyper_derivative_matches_slow_oracle_prime_field(f13, rng):
     for _ in range(20):
         f = _random_poly(f13, rng)
