@@ -58,7 +58,8 @@ def cache_get(key: str):
         if digest != entry.get("checksum"):
             return None
         return payload
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError):  # json.load raises it on deep nesting
         return None
 
 

@@ -442,7 +442,7 @@ def _cmd_selftest(args):
         try:
             with open(args.replay, encoding="utf-8") as fh:
                 report = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SgdecompError(f"cannot read report {args.replay}: {exc}") from exc
         found = []
         _walk_witnesses(report, found)

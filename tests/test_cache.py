@@ -76,6 +76,8 @@ def test_corrupt_json_is_a_miss(monkeypatch, tmp_path):
     assert cache_get(key) is None
     path.write_text("[]")
     assert cache_get(key) is None
+    path.write_text("[" * 100000 + "]" * 100000)  # too deep for json.load
+    assert cache_get(key) is None
 
 
 def test_missing_payload_is_a_miss(monkeypatch, tmp_path):

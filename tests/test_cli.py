@@ -364,7 +364,8 @@ def test_selftest_replay(capsys, tmp_path, monkeypatch):
     assert replay["results"]["all_ok"] is False
 
 
-@pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "invalid-json"])
+@pytest.mark.parametrize("text", [None, "{bad", "[" * 100000 + "]" * 100000],
+                         ids=["missing", "invalid-json", "too-deep"])
 def test_selftest_replay_unreadable_report(capsys, tmp_path, text):
     path = tmp_path / "report.json"
     if text is not None:
