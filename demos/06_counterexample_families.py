@@ -9,20 +9,14 @@ d = (q-1)/(p-1), into a genuine sumset, so the digit hypotheses in the
 impossibility results cannot be dropped.
 """
 
-from sgdecomp import (
-    build_A_plus_A,
-    build_ternary,
-    classify_pair,
-    subfield_S_d,
-    subfield_self_sum,
-)
+from sgdecomp import A_PLUS_A, TERNARY, build, classify_pair, subfield_S_d
 
 # A + A covers all of F_49^* with |A| = 15 = ((7+1)/2)^2 - 1.
-con = build_A_plus_A(7, 2)
+con = build(A_PLUS_A, 7, 2)
 print("A + A = F_49^*, |A| =", con.parts[0].card)
 
 # The ternary family works from p = 5 on and keeps every part small.
-con = build_ternary(5, 2)
+con = build(TERNARY, 5, 2)
 print("A + B + C = F_25^*, sizes", [part.card for part in con.parts])
 
 # S_8 inside F_49 is the embedded F_7^*, identified two independent ways
@@ -31,8 +25,9 @@ sub = subfield_S_d(7, 2, 1)
 print("\nS_8 in F_49 =", sorted(sub.spec.members.indices()),
       "= F_7^* on the basis", sub.basis)
 
-# Composing the two: an explicit self-sum decomposition of S_8 itself.
-chain = subfield_self_sum(7, 2, 1)
+# Composing the two: an explicit self-sum decomposition of S_8 itself, by
+# the same builder run inside F_7 (k = 1).
+chain = build(A_PLUS_A, 7, 2, 1)
 print("S_8 = A + A with A =", sorted(chain.parts[0].indices()))
 
 # Consistency: the classifier must refuse to call (8, 49) good, because a
@@ -44,7 +39,7 @@ assert not pc.is_good
 
 # The same chain exists at every prime power; a few more instances:
 for p, n in [(11, 2), (13, 2), (7, 3)]:
-    chain = subfield_self_sum(p, n, 1)
+    chain = build(A_PLUS_A, p, n, 1)
     q = p**n
     print(f"q={q}: S_{chain.d} = A + A, |A| = {chain.parts[0].card}, "
           f"classifier good: {classify_pair(chain.d, q).is_good}")

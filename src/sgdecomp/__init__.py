@@ -26,15 +26,8 @@ from .characters import (
     subgroup,
 )
 from .classifier import PairClass, TheoremVerdict, classify_pair, delta_good_grid_sup
-from .constructions import (
-    Construction,
-    SubfieldSd,
-    build_A_plus_A,
-    build_ternary,
-    subfield_S_d,
-    subfield_self_sum,
-    subfield_ternary,
-)
+from .constructions import (A_PLUS_A, TERNARY, Construction, SubfieldSd, build,
+                            subfield_S_d)
 from .errors import (
     HypothesisViolated,
     InternalProofFailure,
@@ -90,6 +83,7 @@ from .subsets import (
 )
 
 __all__ = [
+    "A_PLUS_A",
     "Character",
     "Construction",
     "DecompWitness",
@@ -113,11 +107,11 @@ __all__ = [
     "StructureReport",
     "SubfieldSd",
     "SubgroupSpec",
+    "TERNARY",
     "TheoremVerdict",
     "base_p_digits",
-    "build_A_plus_A",
+    "build",
     "build_certificate",
-    "build_ternary",
     "cauchy_davenport_lb",
     "character",
     "classify_pair",
@@ -143,8 +137,6 @@ __all__ = [
     "solve_coefficient_system",
     "structure_check",
     "subfield_S_d",
-    "subfield_self_sum",
-    "subfield_ternary",
     "subgroup",
     "sumset",
     "sumset_many",

@@ -100,12 +100,14 @@ class DoubleSumReport:
     zero_pairs: int  # pairs with a + b = 0, contributing nothing
 
 
-def double_char_sum(chi: Character, a: FqSubset, b: FqSubset,
-                    tol: float = 1e-6) -> DoubleSumReport:
+BOUND_TOL = 1e-6  # float slack when comparing a |sum| with its bound
+
+
+def double_char_sum(chi: Character, a: FqSubset, b: FqSubset) -> DoubleSumReport:
     """Exact sum of chi(x + y) over pairs, with the analytic modulus bound.
 
     The bound is sqrt(q |A| |B|) * sqrt(1 - |A|/q) * sqrt(1 - |B|/q); a
-    nontrivial character can never exceed it, so exceeding it (beyond tol)
+    nontrivial character can never exceed it, so exceeding it (beyond BOUND_TOL)
     means a bug.
     """
     ctx = _same_ctx(a, b)
@@ -130,7 +132,7 @@ def double_char_sum(chi: Character, a: FqSubset, b: FqSubset,
     q = ctx.q
     ca, cb = a.card, b.card
     bound = math.sqrt(q * ca * cb) * math.sqrt(1 - ca / q) * math.sqrt(1 - cb / q)
-    tight = bound - abs(value) <= tol
+    tight = bound - abs(value) <= BOUND_TOL
     return DoubleSumReport(value, bound, tight, tuple(counts), zero_pairs)
 
 

@@ -17,19 +17,16 @@ import sys
 import time
 
 from . import cache as cachemod
-from .characters import character, double_char_sum, proper_indices, subgroup
-from .classifier import classify_pair
-from .constructions import (
-    A_PLUS_A,
-    SUBFIELD_SD,
-    TERNARY,
-    build_A_plus_A,
-    build_ternary,
-    subfield_S_d,
-    subfield_self_sum,
-    subfield_ternary,
+from .characters import (
+    BOUND_TOL,
+    character,
+    double_char_sum,
+    proper_indices,
+    subgroup,
 )
-from .errors import SgdecompError
+from .classifier import classify_pair
+from .constructions import A_PLUS_A, SUBFIELD_SD, TERNARY, build, subfield_S_d
+from .errors import OutOfRange, SgdecompError
 from .field import make_field, make_field_q, prime_powers
 from .reports import (
     CONSTRUCTED,
@@ -41,6 +38,7 @@ from .reports import (
 from .search import (
     DEFAULT_PRUNES,
     EXISTS,
+    SearchResult,
     SearchTask,
     search_binary,
     search_ternary,
@@ -134,16 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _ctx_from_args(args):
-    if getattr(args, "q", None):
-        return make_field_q(args.q)
-    if getattr(args, "p", None):
-        return make_field(args.p, args.n)
-    raise SgdecompError("need --q or --p/--n")
-
-
 def _cmd_field(args):
-    ctx = _ctx_from_args(args)
+    if args.q is not None:
+        ctx = make_field_q(args.q)
+    elif args.p is not None:
+        ctx = make_field(args.p, args.n)
+    else:
+        raise SgdecompError("need --q or --p/--n")
     results = {
         "q": ctx.q, "p": ctx.p, "n": ctx.n,
         "modulus": list(ctx.modulus),
@@ -186,16 +181,23 @@ def _cmd_classify(args):
 
 
 def _revalidate(task: SearchTask, payload) -> bool:
-    """Whether a cached payload answers task, by the check --replay runs."""
-    if not isinstance(payload, dict) or any(
-            payload.get(f) != getattr(task, f)
-            for f in ("q", "d", "arity", "min_part_size")):
+    """Whether a cached payload answers task, by the check --replay runs.
+
+    It must also have a fresh report's keys, and EXHAUSTIVE provenance
+    exactly when it is complete.
+    """
+    fresh = SearchResult(task, EXISTS, (), False, 0, 0, 0, {}).as_dict()
+    if not isinstance(payload, dict) or payload.keys() != {*fresh, "provenance"}:
+        return False
+    if any(payload[f] != fresh[f] for f in ("q", "d", "arity", "min_part_size")):
+        return False
+    if payload["provenance"] != (EXHAUSTIVE if payload["complete"] is True else None):
         return False
     found = []
     _walk_witnesses(payload, found)
     if not all(_replay_ok(*w) for w in found):
         return False
-    return (payload.get("kind") == EXISTS) == bool(found)
+    return (payload["kind"] == EXISTS) == bool(found)
 
 
 def _cmd_search(args):
@@ -207,23 +209,17 @@ def _cmd_search(args):
     params = {"d": args.d, "arity": args.arity, "min_size": args.min_size,
               "budget": args.budget, "prunes": sorted(flags)}
     key = cachemod.cache_key(ctx.p, ctx.n, ctx.modulus, "search", params)
-    payload = None
     if not args.no_cache:
         payload = cachemod.cache_get(key)
-        if payload is not None and not _revalidate(task, payload):
-            payload = None
-        if payload is not None:
-            payload = dict(payload, cached=True)
-    if payload is None:
-        runner = search_binary if args.arity == 2 else search_ternary
-        result = runner(task)
-        payload = result.as_dict()
-        payload["provenance"] = EXHAUSTIVE if result.complete else None
-        payload["cached"] = False
-        if not args.no_cache:
-            cachemod.cache_put(key, {k: v for k, v in payload.items()
-                                     if k != "cached"})
-    return payload, ctx, 0
+        if payload is not None and _revalidate(task, payload):
+            return dict(payload, cached=True), ctx, 0
+    runner = search_binary if args.arity == 2 else search_ternary
+    result = runner(task)
+    payload = result.as_dict()
+    payload["provenance"] = EXHAUSTIVE if result.complete else None
+    if not args.no_cache:
+        cachemod.cache_put(key, payload)
+    return dict(payload, cached=False), ctx, 0
 
 
 def _pair(ctx, a_idx, b_idx) -> tuple[FqSubset, FqSubset]:
@@ -283,12 +279,7 @@ def _cmd_construct(args):
             "provenance": CONSTRUCTED,
         }
         return results, sub.ctx, 0
-    if args.family == A_PLUS_A:
-        built = (subfield_self_sum(args.p, args.n, args.k)
-                 if args.k is not None else build_A_plus_A(args.p, args.n))
-    else:
-        built = (subfield_ternary(args.p, args.n, args.k)
-                 if args.k is not None else build_ternary(args.p, args.n))
+    built = build(args.family, args.p, args.n, args.k)
     results = built.as_dict()
     results["provenance"] = CONSTRUCTED
     return results, built.ctx, 0
@@ -317,6 +308,8 @@ def _charsum_payload(ctx, chi, a_idx, b_idx, d):
 
 
 def _cmd_charsum(args):
+    if args.trials < 1:
+        raise OutOfRange(f"--trials must be >= 1, got {args.trials}")
     ctx = make_field_q(args.q)
     chi = character(ctx, args.d)
     if (args.A is None) != (args.B is None):
@@ -325,7 +318,7 @@ def _cmd_charsum(args):
         results = _charsum_payload(ctx, chi, args.A, args.B, args.d)
         results["provenance"] = THEOREM
         code = 0 if abs(complex(results["value_re"], results["value_im"])) \
-            <= results["bound"] + 1e-6 else 1
+            <= results["bound"] + BOUND_TOL else 1
         return results, ctx, code
     rng = random.Random(args.rng_seed)
     worst = 0.0
@@ -336,7 +329,7 @@ def _cmd_charsum(args):
         ratio = pay["value_abs"] / pay["bound"] if pay["bound"] else 0.0
         worst = max(worst, ratio)
         exact += bool(pay["exact_product"])
-        violations += pay["value_abs"] > pay["bound"] + 1e-6
+        violations += pay["value_abs"] > pay["bound"] + BOUND_TOL
     results = {"trials": args.trials, "violations": violations,
                "max_ratio": round(worst, 9), "exact_product_cases": exact,
                "rng_seed": args.rng_seed, "provenance": THEOREM}
@@ -363,12 +356,12 @@ def _selftest_battery(seed: int) -> list[dict]:
         assert cert.bound == 4 and cert.product == 4 and cert.tight
 
     add("stepanov-golden-fixture", golden)
-    add("self-sum-family-q7", lambda: build_A_plus_A(7, 1))
-    add("self-sum-family-q49", lambda: build_A_plus_A(7, 2))
-    add("ternary-family-q5", lambda: build_ternary(5, 1))
-    add("ternary-family-q49", lambda: build_ternary(7, 2))
-    add("subfield-chain-self-sum-q49", lambda: subfield_self_sum(7, 2, 1))
-    add("subfield-chain-ternary-q25", lambda: subfield_ternary(5, 2, 1))
+    add("self-sum-family-q7", lambda: build(A_PLUS_A, 7, 1))
+    add("self-sum-family-q49", lambda: build(A_PLUS_A, 7, 2))
+    add("ternary-family-q5", lambda: build(TERNARY, 5, 1))
+    add("ternary-family-q49", lambda: build(TERNARY, 7, 2))
+    add("subfield-chain-self-sum-q49", lambda: build(A_PLUS_A, 7, 2, 1))
+    add("subfield-chain-ternary-q25", lambda: build(TERNARY, 5, 2, 1))
 
     def search_pos():
         res = search_binary(SearchTask(q=13, d=3))
@@ -401,7 +394,7 @@ def _selftest_battery(seed: int) -> list[dict]:
         for _ in range(50):
             pay = _charsum_payload(ctx, chi, _random_subset(rng, 13),
                                    _random_subset(rng, 13), 3)
-            assert pay["value_abs"] <= pay["bound"] + 1e-6
+            assert pay["value_abs"] <= pay["bound"] + BOUND_TOL
 
     add("charsum-bound-trials", charsum_trials)
     return checks

@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import SubgroupSpec, subgroup
-from .errors import InternalProofFailure, NotAProperDivisor, PTooSmall
+from .errors import (
+    HypothesisViolated,
+    InternalProofFailure,
+    NotAProperDivisor,
+    PTooSmall,
+)
 from .field import FieldCtx, linear_images, make_field
 from .subsets import FqSubset, iter_bits, sumset_many
 
@@ -69,17 +74,30 @@ def _combinations(ctx: FieldCtx, basis, pattern) -> FqSubset:
                        for b in basis)
 
 
-def _build(spec: ConstructionSpec) -> Construction:
-    """The family's recipe over x^j in F_q, or over subfield_S_d's basis."""
-    p = spec.p
-    if spec.k is None:
-        ctx = make_field(p, spec.n)
-        basis = [p**j for j in range(spec.n)]
+# The least p at which each family's recipe works.  At p = 5 the self-sum
+# pattern is {0, 1, 3}, and {1,3} + {1,3} misses 3, hence 7 rather than a
+# weakened claim.
+P_FLOOR = {A_PLUS_A: 7, TERNARY: 5}
+
+
+def build(family: str, p: int, n: int, k: int | None = None) -> Construction:
+    """The family's recipe over x^j in F_q, or over subfield_S_d's basis.
+
+    A_PLUS_A gives (A, A) and TERNARY gives (A, B, C), all sizes >= 2, whose
+    sumset is S_d: d = 1 (all of F_q^*) without k, d = (q-1)/(p^k-1) with k.
+    """
+    if family not in P_FLOOR:
+        raise HypothesisViolated(f"unknown construction family {family!r}")
+    if p < P_FLOOR[family]:
+        raise PTooSmall(f"{family} family needs p >= {P_FLOOR[family]}, got {p}")
+    if k is None:
+        ctx = make_field(p, n)
+        basis = [p**j for j in range(n)]
         target, d = FqSubset(ctx, ctx.nonzero_mask), 1
     else:
-        sub = subfield_S_d(p, spec.n, spec.k)
+        sub = subfield_S_d(p, n, k)
         ctx, basis, target, d = sub.ctx, sub.basis, sub.spec.members, sub.d
-    if spec.family == A_PLUS_A:
+    if family == A_PLUS_A:
         pattern = [*range((p - 1) // 2), (p + 1) // 2]
         a = FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1)
         if a.card != ((p + 1) // 2) ** len(basis) - 1:
@@ -90,26 +108,9 @@ def _build(spec: ConstructionSpec) -> Construction:
         ab = _combinations(ctx, basis, [0, 1])
         parts = (ab, ab, FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1))
     if sumset_many(parts).bits != target.bits:
-        raise InternalProofFailure(f"{spec.family} sumset identity failed")
-    return Construction(spec=spec, ctx=ctx, parts=parts, target=target, d=d)
-
-
-def build_A_plus_A(p: int, n: int) -> Construction:
-    """A with A + A = F_q^*, built on digit coordinates.  Needs p >= 7.
-
-    At p = 5 the recipe genuinely fails ({1,3}+{1,3} misses 3), hence the
-    precondition rather than a weakened claim.
-    """
-    if p < 7:
-        raise PTooSmall(f"self-sum family needs p >= 7, got {p}")
-    return _build(ConstructionSpec(A_PLUS_A, p, n))
-
-
-def build_ternary(p: int, n: int) -> Construction:
-    """(A, B, C) with A + B + C = F_q^* and all sizes >= 2.  Needs p >= 5."""
-    if p < 5:
-        raise PTooSmall(f"ternary family needs p >= 5, got {p}")
-    return _build(ConstructionSpec(TERNARY, p, n))
+        raise InternalProofFailure(f"{family} sumset identity failed")
+    return Construction(spec=ConstructionSpec(family, p, n, k), ctx=ctx,
+                        parts=parts, target=target, d=d)
 
 
 @dataclass(frozen=True)
@@ -171,20 +172,3 @@ def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
     return SubfieldSd(ctx=ctx, k=k, d=d, spec=spec,
                       subfield=FqSubset(ctx, fixed), basis=tuple(basis))
 
-
-def subfield_self_sum(p: int, n: int, k: int) -> Construction:
-    """The full chain S_d = A + A for d = (q-1)/(p^k-1), p >= 7.
-
-    Runs the self-sum recipe inside the copy of F_{p^k} cut out by
-    subfield_S_d, using its computed basis as coordinates.
-    """
-    if p < 7:
-        raise PTooSmall(f"self-sum chain needs p >= 7, got {p}")
-    return _build(ConstructionSpec(A_PLUS_A, p, n, k))
-
-
-def subfield_ternary(p: int, n: int, k: int) -> Construction:
-    """The chain S_d = A + B + C for d = (q-1)/(p^k-1), p >= 5."""
-    if p < 5:
-        raise PTooSmall(f"ternary chain needs p >= 5, got {p}")
-    return _build(ConstructionSpec(TERNARY, p, n, k))

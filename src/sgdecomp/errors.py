@@ -38,6 +38,13 @@ class ZeroDilation(SgdecompError):
     """Dilation by zero is not a bijection and is refused."""
 
 
+class OutOfRange(SgdecompError, ValueError):
+    """An integer argument lies outside its range: an element index or n < 1.
+
+    It is also a ValueError, so callers that catch ValueError still do.
+    """
+
+
 class NotADivisor(SgdecompError):
     """d does not divide q - 1."""
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import CompositeP, FieldTooLarge, NotAPrimePower
+from .errors import CompositeP, FieldTooLarge, NotAPrimePower, OutOfRange
 
 Q_CAP = 1 << 20
 
@@ -327,7 +327,7 @@ class FieldCtx:
 
     def __init__(self, p: int, n: int):
         if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+            raise OutOfRange(f"need n >= 1, got {n}")
         # cap before trial division; p^21 >= 2^21 > Q_CAP, so n is clamped
         # at 21 and no huge power is built or printed
         if p >= 2 and p ** min(n, 21) > Q_CAP:

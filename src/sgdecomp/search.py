@@ -165,7 +165,7 @@ def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool
         return False
     try:
         subs = [FqSubset.from_indices(ctx, p) for p in parts]
-    except (SgdecompError, ValueError):
+    except SgdecompError:
         return False
     if not subs or any(s.card < min_part_size for s in subs):
         return False

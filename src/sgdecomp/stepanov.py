@@ -85,10 +85,6 @@ class StepanovCertificate:
     bound_holds: bool
 
     @property
-    def degree(self):
-        return self.poly.degree
-
-    @property
     def tight(self) -> bool:
         return self.bound_holds and self.product == self.bound
 
@@ -134,8 +130,7 @@ def build_certificate(ctx: FieldCtx, a_set: FqSubset, b_set: FqSubset,
 
     f = FqPolynomial.constant(ctx, ctx.neg(1))
     for ci, ai in zip(c, a_elems):
-        if ci:
-            f = f.add(shifted_power(ctx, ai, exponent).scale(ci))
+        f = f.add(shifted_power(ctx, ai, exponent).scale(ci))
 
     binom_ok, binom_residue = lucas_binom_nonzero(exponent, order, ctx.p)
     if binom_ok and f.degree != order:
@@ -211,7 +206,7 @@ def zero_polynomial_dichotomy(ctx: FieldCtx, a_set: FqSubset, b_set: FqSubset,
 
 
 def grow_hypothesis_pair(ctx: FieldCtx, d: int, rng: random.Random,
-                         max_size: int | None = None) -> tuple[FqSubset, FqSubset]:
+                         max_size: int) -> tuple[FqSubset, FqSubset]:
     """Randomly grow (A, B) with A + B inside S_d union {0}.
 
     Used by property tests and the self-test battery: every grown pair is a
@@ -222,13 +217,12 @@ def grow_hypothesis_pair(ctx: FieldCtx, d: int, rng: random.Random,
     a_bits, for_b = 1 << a, ctx.translate_bits(target, ctx.neg(a))
     b = rng.choice(list(iter_bits(for_b)))
     b_bits, for_a = 1 << b, ctx.translate_bits(target, ctx.neg(b))
-    cap = max_size if max_size is not None else ctx.q
     # for_a is the intersection of target - t over t in B; for_b over t in A
     while True:
         cand_a = for_a & ~a_bits
         cand_b = for_b & ~b_bits
-        grow_a = cand_a != 0 and a_bits.bit_count() < cap
-        grow_b = cand_b != 0 and b_bits.bit_count() < cap
+        grow_a = cand_a != 0 and a_bits.bit_count() < max_size
+        grow_b = cand_b != 0 and b_bits.bit_count() < max_size
         if not grow_a and not grow_b:
             break
         if grow_a and (not grow_b or rng.random() < 0.5):

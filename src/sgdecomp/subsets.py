@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import ContextMismatch, DuplicateElements, EmptyInput, ZeroDilation
+from .errors import (ContextMismatch, DuplicateElements, EmptyInput, OutOfRange,
+                     ZeroDilation)
 from .field import FieldCtx
 
 
@@ -35,7 +36,7 @@ class FqSubset:
         count = 0
         for i in indices:
             if not 0 <= i < ctx.q:
-                raise ValueError(f"index {i} outside [0, {ctx.q})")
+                raise OutOfRange(f"index {i} outside [0, {ctx.q})")
             bits |= 1 << i
             count += 1
         if bits.bit_count() != count:
@@ -97,7 +98,7 @@ def sumset_many(parts) -> FqSubset:
 
 def translate(x: FqSubset, t: int) -> FqSubset:
     if not 0 <= t < x.ctx.q:
-        raise ValueError(f"translation amount {t} outside the field")
+        raise OutOfRange(f"translation amount {t} outside the field")
     return FqSubset(x.ctx, x.ctx.translate_bits(x.bits, t))
 
 

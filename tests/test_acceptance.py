@@ -15,7 +15,7 @@ import pytest
 
 from sgdecomp.characters import character, double_char_sum, subgroup
 from sgdecomp.classifier import classify_pair, delta_good_grid_sup, order_mod
-from sgdecomp.constructions import build_A_plus_A, build_ternary, subfield_self_sum
+from sgdecomp.constructions import A_PLUS_A, TERNARY, build
 from sgdecomp.field import (
     divisors,
     is_prime,
@@ -169,13 +169,13 @@ def test_criterion_05_self_sum_counterexample_chain():
     for p in (7, 11, 13):
         for n in (2, 3):
             q = p**n
-            con = build_A_plus_A(p, n)
+            con = build(A_PLUS_A, p, n)
             a = sorted(con.parts[0].indices())
             ctx = con.ctx
             covered = {ctx.add(x, y) for x in a for y in a}
             assert covered == set(range(1, q)), (p, n)
 
-            chain = subfield_self_sum(p, n, 1)
+            chain = build(A_PLUS_A, p, n, 1)
             d = (q - 1) // (p - 1)
             assert chain.d == d
             ca = sorted(chain.parts[0].indices())
@@ -199,7 +199,7 @@ def test_criterion_06_ternary_construction():
     cases = 0
     for p in (5, 7, 11, 13):
         for n in (1, 2, 3):
-            con = build_ternary(p, n)
+            con = build(TERNARY, p, n)
             ctx = con.ctx
             a, b, c = (sorted(part.indices()) for part in con.parts)
             covered = {ctx.add(ctx.add(x, y), z)

@@ -104,6 +104,30 @@ def test_domain_error_exits_1(capsys):
     assert code == 1 and "classify needs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("stepanov", "--q", "13", "--d", "3", "--A", "0,99", "--B", "1"),
+    ("analyze", "--q", "13", "--d", "3", "--A", "0,99", "--B", "1"),
+    ("charsum", "--q", "13", "--d", "3", "--A", "0,1", "--B", "99"),
+    ("field", "--p", "2", "--n", "0"),
+    ("construct", "--family", "a-plus-a", "--p", "7", "--n", "0"),
+    ("charsum", "--q", "13", "--d", "3", "--trials", "-5"),
+], ids=["stepanov-index", "analyze-index", "charsum-index", "field-n0",
+        "construct-n0", "charsum-trials"])
+def test_out_of_range_argument_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("field", "--q", "0"), "q=0 is not a prime power"),
+    (("field", "--p", "0"), "p=0 is not prime"),
+], ids=["q0", "p0"])
+def test_field_zero_is_read_as_given(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err == f"error: {message}\n"
+
+
 def test_classify_single_pair(capsys):
     code, report, _ = run_json(capsys, "classify", "--q", "121", "--d", "8")
     assert code == 0
@@ -191,8 +215,13 @@ def _witnesses(value):
     _witnesses([{"x": 1}]),
     lambda payload: dict(payload, q=7),
     lambda payload: dict(payload, kind="NONE_EXHAUSTIVE"),
+    lambda payload: dict(payload, provenance=None),
+    lambda payload: {"q": 13, "d": 3, "arity": 2, "min_part_size": 2,
+                     "kind": "NONE_EXHAUSTIVE", "complete": True,
+                     "witnesses": [], "orbit_count": 0, "nodes": 0},
 ], ids=["list", "string", "witnesses-string", "witness-int", "witness-no-parts",
-        "other-q", "kind-without-exists"])
+        "other-q", "kind-without-exists", "complete-without-provenance",
+        "forged-none-exhaustive"])
 def test_search_malformed_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path,
                                                 forge):
     # a checksummed entry that does not pass the --replay check is stale

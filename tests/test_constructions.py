@@ -6,14 +6,11 @@ from sgdecomp.classifier import classify_pair
 from sgdecomp.constructions import (
     A_PLUS_A,
     TERNARY,
-    build_A_plus_A,
-    build_ternary,
+    build,
     frobenius_images,
     subfield_S_d,
-    subfield_self_sum,
-    subfield_ternary,
 )
-from sgdecomp.errors import NotAProperDivisor, PTooSmall
+from sgdecomp.errors import HypothesisViolated, NotAProperDivisor, PTooSmall
 from sgdecomp.field import make_field
 from sgdecomp.search import (
     SearchTask,
@@ -36,7 +33,7 @@ def brute_sumset(ctx, parts):
 @pytest.mark.parametrize("p", [7, 11, 13])
 @pytest.mark.parametrize("n", [1, 2])
 def test_self_sum_family(p, n):
-    con = build_A_plus_A(p, n)
+    con = build(A_PLUS_A, p, n)
     (a, a2) = con.parts
     assert a.bits == a2.bits
     assert a.card == ((p + 1) // 2) ** n - 1
@@ -46,13 +43,13 @@ def test_self_sum_family(p, n):
 
 
 def test_self_sum_pattern_p7():
-    con = build_A_plus_A(7, 1)
+    con = build(A_PLUS_A, 7, 1)
     assert sorted(con.parts[0].indices()) == [1, 2, 4]
 
 
 def test_self_sum_independent_arithmetic():
     # recompute A + A with digit-convolution addition only
-    con = build_A_plus_A(7, 2)
+    con = build(A_PLUS_A, 7, 2)
     elems = sorted(con.parts[0].indices())
     sums = {naive_add(x, y, 7, 2) for x in elems for y in elems}
     assert sums == set(range(1, 49))
@@ -61,7 +58,7 @@ def test_self_sum_independent_arithmetic():
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("n", [1, 2])
 def test_ternary_family(p, n):
-    con = build_ternary(p, n)
+    con = build(TERNARY, p, n)
     a, b, c = con.parts
     assert a.bits == b.bits
     assert all(part.card >= 2 for part in con.parts)
@@ -70,22 +67,32 @@ def test_ternary_family(p, n):
 
 
 def test_ternary_patterns():
-    assert sorted(build_ternary(5, 1).parts[2].indices()) == [1, 2]
-    assert sorted(build_ternary(7, 1).parts[2].indices()) == [1, 2, 4]
-    assert sorted(build_ternary(7, 1).parts[0].indices()) == [0, 1]
+    assert sorted(build(TERNARY, 5, 1).parts[2].indices()) == [1, 2]
+    assert sorted(build(TERNARY, 7, 1).parts[2].indices()) == [1, 2, 4]
+    assert sorted(build(TERNARY, 7, 1).parts[0].indices()) == [0, 1]
 
 
 def test_p_too_small_guards():
+    for family, floor, p, n, k in [
+            (A_PLUS_A, 7, 5, 1, None), (A_PLUS_A, 7, 3, 2, None),
+            (A_PLUS_A, 7, 5, 2, 1), (TERNARY, 5, 3, 1, None),
+            (TERNARY, 5, 3, 2, 1)]:
+        with pytest.raises(PTooSmall,
+                           match=f"^{family} family needs p >= {floor}, got {p}$"):
+            build(family, p, n, k)
+
+
+def test_p_floor_is_checked_before_k():
+    # k = 2 is no proper divisor of n = 2, but p = 5 fails first
     with pytest.raises(PTooSmall):
-        build_A_plus_A(5, 1)
-    with pytest.raises(PTooSmall):
-        build_A_plus_A(3, 2)
-    with pytest.raises(PTooSmall):
-        build_ternary(3, 1)
-    with pytest.raises(PTooSmall):
-        subfield_self_sum(5, 2, 1)
-    with pytest.raises(PTooSmall):
-        subfield_ternary(3, 2, 1)
+        build(A_PLUS_A, 5, 2, 2)
+    with pytest.raises(NotAProperDivisor):
+        build(A_PLUS_A, 7, 2, 2)
+
+
+def test_unknown_family_is_refused():
+    with pytest.raises(HypothesisViolated, match="bogus"):
+        build("bogus", 7, 2)
 
 
 def test_subfield_identification_f49():
@@ -124,7 +131,7 @@ def test_subfield_guards():
 
 @pytest.mark.parametrize("p,n,k", [(7, 2, 1), (11, 2, 1), (7, 3, 1), (13, 2, 1)])
 def test_self_sum_chain(p, n, k):
-    con = subfield_self_sum(p, n, k)
+    con = build(A_PLUS_A, p, n, k)
     assert con.d == (p**n - 1) // (p**k - 1)
     assert con.spec.family == A_PLUS_A and con.spec.k == k
     got = brute_sumset(con.ctx, con.parts)
@@ -136,14 +143,14 @@ def test_self_sum_chain(p, n, k):
 
 @pytest.mark.parametrize("p,n,k", [(5, 2, 1), (7, 2, 1), (11, 2, 1), (5, 3, 1)])
 def test_ternary_chain(p, n, k):
-    con = subfield_ternary(p, n, k)
+    con = build(TERNARY, p, n, k)
     assert con.d == (p**n - 1) // (p**k - 1)
     got = brute_sumset(con.ctx, con.parts)
     assert got == set(con.target.indices())
 
 
 def test_chain_witness_is_found_by_search():
-    con = subfield_self_sum(7, 2, 1)
+    con = build(A_PLUS_A, 7, 2, 1)
     a = tuple(sorted(con.parts[0].indices()))
     ctx = make_field(7, 2)
     key = canonical_binary_key(ctx, 8, a, a)
@@ -162,7 +169,7 @@ def test_chain_witness_is_found_by_search():
 
 
 def test_as_dict_payload():
-    dd = subfield_self_sum(7, 2, 1).as_dict()
+    dd = build(A_PLUS_A, 7, 2, 1).as_dict()
     assert dd["q"] == 49 and dd["d"] == 8 and dd["k"] == 1
     assert dd["sizes"] == [3, 3]
     assert dd["verified"] is True

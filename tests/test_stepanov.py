@@ -143,7 +143,7 @@ def test_dichotomy_bound_branch(f13):
     assert res.certified_bound == 4
 
 
-def test_dichotomy_zero_branch_subfield_self_sum():
+def test_dichotomy_zero_branch_self_sum_chain():
     # F_49, d = 8: S_8 is the embedded F_7^*, and {1,2,4} + {1,2,4} covers it.
     # |A||B| = 9 > 8 >= deg f, so the polynomial must collapse.
     ctx = make_field_q(49)
