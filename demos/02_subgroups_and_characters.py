@@ -12,16 +12,16 @@ from sgdecomp import FqSubset, character, double_char_sum, make_field_q, subgrou
 
 ctx = make_field_q(13)
 
-# The cubes in F_13 form a subgroup of size 4.
+# The cubes in F_13 form a subgroup of size 4, returned as an FqSubset.
 s3 = subgroup(ctx, 3)
-print("S_3 in F_13:", sorted(s3.members.indices()), "order", s3.order)
+print("S_3 in F_13:", s3.indices(), "order", s3.card)
 
 # A character of exact order 3: trivial on cubes, a cube root of unity
 # elsewhere.
 chi = character(ctx, 3)
 print("chi(5) =", chi(5), " chi(2) =", chi(2))
 print("chi is 1 on all of S_3:",
-      all(abs(chi(s) - 1) < 1e-12 for s in s3.members.indices()))
+      all(abs(chi(s) - 1) < 1e-12 for s in s3.indices()))
 
 # The double sum over a pair whose sumset lies inside S_3 is exactly
 # |A| |B|; here A + B is all of S_3.

@@ -22,7 +22,7 @@ print("A + B + C = F_25^*, sizes", [part.card for part in con.parts])
 # S_8 inside F_49 is the embedded F_7^*, identified two independent ways
 # (power residues vs Frobenius fixed points).
 sub = subfield_S_d(7, 2, 1)
-print("\nS_8 in F_49 =", sorted(sub.spec.members.indices()),
+print("\nS_8 in F_49 =", sub.members.indices(),
       "= F_7^* on the basis", sub.basis)
 
 # Composing the two: an explicit self-sum decomposition of S_8 itself, by

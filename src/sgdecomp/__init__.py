@@ -18,8 +18,6 @@ in character-sum magnitudes.
 from .characters import (
     Character,
     DoubleSumReport,
-    ProductBoundReport,
-    SubgroupSpec,
     character,
     double_char_sum,
     product_bound_check,
@@ -97,7 +95,6 @@ __all__ = [
     "InternalProofFailure",
     "PairClass",
     "PExpansion",
-    "ProductBoundReport",
     "Q_CAP",
     "RuzsaReport",
     "SearchResult",
@@ -106,7 +103,6 @@ __all__ = [
     "StepanovCertificate",
     "StructureReport",
     "SubfieldSd",
-    "SubgroupSpec",
     "TERNARY",
     "TheoremVerdict",
     "base_p_digits",

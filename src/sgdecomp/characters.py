@@ -1,13 +1,13 @@
 """Multiplicative subgroups S_d and characters of order d.
 
 S_d = {x^d : x in F_q^*} has (q-1)/d elements; membership is dlog(x) = 0
-mod d.  subgroup and character take any d >= 1 dividing q - 1.  S_d is
-proper when also 2 <= d < q - 1 (d = 1 gives F_q^*, d = q - 1 gives {1});
-proper_indices and check_proper_index state that rule once for the
-classifier, the search and the command line.  A character of exact order d
-sends x to a d-th root of unity read off the dlog residue, with chi(0) = 0.
-Double sums over A + B are computed exactly by bucketing pairs on that
-residue before any floating point enters.
+mod d.  subgroup returns S_d as an FqSubset; it and character take any
+d >= 1 dividing q - 1.  S_d is proper when also 2 <= d < q - 1 (d = 1
+gives F_q^*, d = q - 1 gives {1}); proper_indices and check_proper_index
+state that rule once for the classifier, the search and the command line.
+A character of exact order d sends x to a d-th root of unity read off the
+dlog residue, with chi(0) = 0.  Double sums over A + B are computed exactly
+by bucketing pairs on that residue before any floating point enters.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateD,
     HypothesisViolated,
+    InternalProofFailure,
     NotADivisor,
     TrivialCharacter,
 )
@@ -46,15 +47,7 @@ def check_proper_index(q: int, d: int) -> None:
         raise NotADivisor(f"d={d} does not divide q-1={q - 1}")
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    ctx: FieldCtx
-    d: int
-    order: int
-    members: FqSubset
-
-
-def subgroup(ctx: FieldCtx, d: int) -> SubgroupSpec:
+def subgroup(ctx: FieldCtx, d: int) -> FqSubset:
     """The subgroup of d-th powers of F_q^*, read off exp at stride d."""
     _check_d(ctx, d)
     # one base-2 parse, not a q-bit OR per member (quadratic in q)
@@ -62,10 +55,9 @@ def subgroup(ctx: FieldCtx, d: int) -> SubgroupSpec:
     for x in ctx.exp[::d]:  # g^(kd), k = 0 .. (q-1)/d - 1
         digits[-1 - x] = one  # the last digit is bit 0
     members = FqSubset(ctx, int(digits, 2))
-    order = (ctx.q - 1) // d
-    if members.card != order:  # pragma: no cover - exp has no repeats
-        raise AssertionError("subgroup order mismatch")
-    return SubgroupSpec(ctx, d, order, members)
+    if members.card != (ctx.q - 1) // d:  # pragma: no cover - exp has no repeats
+        raise InternalProofFailure("subgroup order mismatch")
+    return members
 
 
 @dataclass(frozen=True)
@@ -136,14 +128,7 @@ def double_char_sum(chi: Character, a: FqSubset, b: FqSubset) -> DoubleSumReport
     return DoubleSumReport(value, bound, tight, tuple(counts), zero_pairs)
 
 
-@dataclass(frozen=True)
-class ProductBoundReport:
-    product: int
-    q: int
-    holds: bool
-
-
-def product_bound_check(a: FqSubset, b: FqSubset, d: int) -> ProductBoundReport:
+def product_bound_check(a: FqSubset, b: FqSubset, d: int) -> bool:
     """Verify |A||B| < q for sets whose sumset lies inside S_d.
 
     Raises HypothesisViolated when A + B leaves the subgroup; a False result
@@ -152,9 +137,6 @@ def product_bound_check(a: FqSubset, b: FqSubset, d: int) -> ProductBoundReport:
     """
     ctx = _same_ctx(a, b)
     _require_nonempty(a, b)
-    spec = subgroup(ctx, d)
-    s = sumset(a, b)
-    if s.bits & ~spec.members.bits:
+    if sumset(a, b).bits & ~subgroup(ctx, d).bits:
         raise HypothesisViolated("A + B is not contained in S_d")
-    product = a.card * b.card
-    return ProductBoundReport(product, ctx.q, product < ctx.q)
+    return a.card * b.card < ctx.q

@@ -183,8 +183,9 @@ def _cmd_classify(args):
 def _revalidate(task: SearchTask, payload) -> bool:
     """Whether a cached payload answers task, by the check --replay runs.
 
-    It must also have a fresh report's keys, and EXHAUSTIVE provenance
-    exactly when it is complete.
+    It must also have a fresh report's keys, EXHAUSTIVE provenance exactly
+    when it is complete, one orbit per witness, and counters that are
+    non-negative ints, with one prune count per rule.
     """
     fresh = SearchResult(task, EXISTS, (), False, 0, 0, 0, {}).as_dict()
     if not isinstance(payload, dict) or payload.keys() != {*fresh, "provenance"}:
@@ -192,6 +193,13 @@ def _revalidate(task: SearchTask, payload) -> bool:
     if any(payload[f] != fresh[f] for f in ("q", "d", "arity", "min_part_size")):
         return False
     if payload["provenance"] != (EXHAUSTIVE if payload["complete"] is True else None):
+        return False
+    prunes = payload["prune_counts"]
+    counters = [payload[f] for f in ("orbit_count", "nodes", "probes", "emissions")]
+    if not (isinstance(payload["witnesses"], list)
+            and payload["orbit_count"] == len(payload["witnesses"])
+            and isinstance(prunes, dict) and prunes.keys() == DEFAULT_PRUNES
+            and all(type(v) is int and v >= 0 for v in [*counters, *prunes.values()])):
         return False
     found = []
     _walk_witnesses(payload, found)
@@ -272,8 +280,8 @@ def _cmd_construct(args):
         results = {
             "family": SUBFIELD_SD, "p": args.p, "n": args.n, "k": args.k,
             "q": sub.ctx.q, "d": sub.d,
-            "subgroup_order": sub.spec.order,
-            "members": sorted(sub.spec.members.indices()),
+            "subgroup_order": sub.members.card,
+            "members": sub.members.indices(),
             "basis": list(sub.basis),
             "verified": True,
             "provenance": CONSTRUCTED,
@@ -293,7 +301,7 @@ def _random_subset(rng: random.Random, q: int) -> list[int]:
 def _charsum_payload(ctx, chi, a_idx, b_idx, d):
     a, b = _pair(ctx, a_idx, b_idx)
     rep = double_char_sum(chi, a, b)
-    s_bits = subgroup(ctx, d).members.bits
+    s_bits = subgroup(ctx, d).bits
     inside = sumset(a, b).bits & ~s_bits == 0
     return {
         "value_re": rep.value.real,
@@ -408,10 +416,10 @@ def _walk_witnesses(node, found):
                 witnesses = [None]  # replays as one malformed witness
             for w in witnesses:
                 parts = w.get("parts") if isinstance(w, dict) else None
-                found.append((node["q"], node["d"],
-                              node.get("min_part_size", 2), parts))
+                found.append((node["q"], node["d"], node.get("min_part_size", 2),
+                              node.get("arity"), parts))
         elif "parts" in node and "q" in node and "d" in node:
-            found.append((node["q"], node["d"], 2, node["parts"]))
+            found.append((node["q"], node["d"], 2, node.get("arity"), node["parts"]))
         for v in node.values():
             _walk_witnesses(v, found)
     elif isinstance(node, list):
@@ -419,9 +427,14 @@ def _walk_witnesses(node, found):
             _walk_witnesses(v, found)
 
 
-def _replay_ok(q, d, min_size, parts) -> bool:
-    """Whether one witness read from a report verifies; malformed is False."""
+def _replay_ok(q, d, min_size, arity, parts) -> bool:
+    """Whether one witness read from a report verifies; malformed is False.
+
+    A report that states an arity admits only witnesses with that many parts.
+    """
     if not all(type(v) is int for v in (q, d, min_size)):
+        return False
+    if arity is not None and not (isinstance(parts, list) and len(parts) == arity):
         return False
     try:
         ctx = make_field_q(q)
@@ -441,8 +454,8 @@ def _cmd_selftest(args):
         _walk_witnesses(report, found)
         replayed = []
         ok_all = True
-        for q, d, min_size, parts in found:
-            ok = _replay_ok(q, d, min_size, parts)
+        for q, d, min_size, arity, parts in found:
+            ok = _replay_ok(q, d, min_size, arity, parts)
             ok_all &= ok
             replayed.append({"q": q, "d": d, "parts": parts, "ok": ok})
         results = {"mode": "replay", "witnesses": replayed,

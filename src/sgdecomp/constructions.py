@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import SubgroupSpec, subgroup
+from .characters import subgroup
 from .errors import (
     HypothesisViolated,
     InternalProofFailure,
@@ -38,16 +38,11 @@ SUBFIELD_SD = "subfield"
 
 
 @dataclass(frozen=True)
-class ConstructionSpec:
+class Construction:
     family: str
     p: int
     n: int
-    k: int | None = None  # subfield degree, only for SUBFIELD_SD chains
-
-
-@dataclass(frozen=True)
-class Construction:
-    spec: ConstructionSpec
+    k: int | None  # subfield degree, only for SUBFIELD_SD chains
     ctx: FieldCtx
     parts: tuple[FqSubset, ...]
     target: FqSubset  # verified equal to the sumset of the parts
@@ -55,14 +50,14 @@ class Construction:
 
     def as_dict(self) -> dict:
         return {
-            "family": self.spec.family,
-            "p": self.spec.p,
-            "n": self.spec.n,
-            "k": self.spec.k,
+            "family": self.family,
+            "p": self.p,
+            "n": self.n,
+            "k": self.k,
             "q": self.ctx.q,
             "d": self.d,
             "sizes": [part.card for part in self.parts],
-            "parts": [sorted(part.indices()) for part in self.parts],
+            "parts": [part.indices() for part in self.parts],
             "target_size": self.target.card,
             "verified": True,
         }
@@ -96,7 +91,7 @@ def build(family: str, p: int, n: int, k: int | None = None) -> Construction:
         target, d = FqSubset(ctx, ctx.nonzero_mask), 1
     else:
         sub = subfield_S_d(p, n, k)
-        ctx, basis, target, d = sub.ctx, sub.basis, sub.spec.members, sub.d
+        ctx, basis, target, d = sub.ctx, sub.basis, sub.members, sub.d
     if family == A_PLUS_A:
         pattern = [*range((p - 1) // 2), (p + 1) // 2]
         a = FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1)
@@ -109,8 +104,7 @@ def build(family: str, p: int, n: int, k: int | None = None) -> Construction:
         parts = (ab, ab, FqSubset(ctx, _combinations(ctx, basis, pattern).bits & ~1))
     if sumset_many(parts).bits != target.bits:
         raise InternalProofFailure(f"{family} sumset identity failed")
-    return Construction(spec=ConstructionSpec(family, p, n, k), ctx=ctx,
-                        parts=parts, target=target, d=d)
+    return Construction(family, p, n, k, ctx, parts, target, d)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class SubfieldSd:
     ctx: FieldCtx
     k: int
     d: int  # (q-1)/(p^k-1)
-    spec: SubgroupSpec  # S_d via power residues
+    members: FqSubset  # S_d via power residues
     subfield: FqSubset  # the full fixed field of x -> x^(p^k), zero included
     basis: tuple[int, ...]  # an F_p-basis of the subfield
 
@@ -147,7 +141,7 @@ def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
         raise NotAProperDivisor(f"k={k} is not a proper divisor of n={n}")
     ctx = make_field(p, n)
     d = (ctx.q - 1) // (p**k - 1)
-    spec = subgroup(ctx, d)
+    members = subgroup(ctx, d)
 
     fixed = 0
     for x, y in enumerate(frobenius_images(ctx, k)):
@@ -155,7 +149,7 @@ def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
             fixed |= 1 << x
     if fixed.bit_count() != p**k:
         raise InternalProofFailure("Frobenius fixed set has the wrong size")
-    if fixed & ~1 != spec.members.bits:
+    if fixed & ~1 != members.bits:
         raise InternalProofFailure("power residues disagree with the subfield")
 
     # greedy F_p-basis of the fixed field as an additive space
@@ -169,6 +163,6 @@ def subfield_S_d(p: int, n: int, k: int) -> SubfieldSd:
                 break
     if span != fixed:  # pragma: no cover - dimension count rules this out
         raise InternalProofFailure("subfield basis does not span the fixed set")
-    return SubfieldSd(ctx=ctx, k=k, d=d, spec=spec,
+    return SubfieldSd(ctx=ctx, k=k, d=d, members=members,
                       subfield=FqSubset(ctx, fixed), basis=tuple(basis))
 

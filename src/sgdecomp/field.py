@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import CompositeP, FieldTooLarge, NotAPrimePower, OutOfRange
+from .errors import (CompositeP, FieldTooLarge, InternalProofFailure,
+                     NotAPrimePower, OutOfRange)
 
 Q_CAP = 1 << 20
 
@@ -278,7 +279,8 @@ def _find_modulus(p: int, n: int) -> tuple[int, ...]:
         coeffs = [*base_p_digits(code, p).digits[::-1], 1]  # c_0 varies slowest
         if _is_irreducible(coeffs, p, n):
             return tuple(coeffs)
-    raise InternalError  # pragma: no cover - irreducibles always exist
+    raise InternalProofFailure(  # pragma: no cover - irreducibles always exist
+        f"no monic irreducible of degree {n} over F_{p}")
 
 
 def _digit_sum(x: int, y: int, p: int) -> int:
@@ -375,7 +377,7 @@ class FieldCtx:
                 gen = cand
                 break
         if gen is None:  # pragma: no cover - a generator always exists
-            raise InternalError
+            raise InternalProofFailure(f"no generator of F_{q}^*")
         self.generator = gen
         exp = [0] * order
         acc = 1
@@ -393,7 +395,7 @@ class FieldCtx:
         for k, x in enumerate(exp):
             dlog[x] = k
         if acc != 1 or dlog.count(DLOG_UNDEFINED) != 1:  # pragma: no cover
-            raise InternalError
+            raise InternalProofFailure(f"the generator's powers miss F_{q}^*")
         self.exp = exp
         self.dlog = dlog
         self.zech = self.neg_table = None
@@ -492,10 +494,6 @@ class FieldCtx:
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-
-class InternalError(AssertionError):
-    """Impossible state inside field construction."""
 
 
 @lru_cache(maxsize=64)

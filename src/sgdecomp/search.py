@@ -153,7 +153,7 @@ class _Gas:
 
 
 def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool:
-    """Exact check: the parts sum to S_d and respect the size floor.
+    """Exact check: two or more parts sum to S_d and respect the size floor.
 
     Returns False on any mismatch or malformed part instead of raising;
     d = 1 (the whole of F_q^*) is allowed here even though the searches
@@ -167,11 +167,11 @@ def verify_witness(ctx: FieldCtx, parts, d: int, min_part_size: int = 2) -> bool
         subs = [FqSubset.from_indices(ctx, p) for p in parts]
     except SgdecompError:
         return False
-    if not subs or any(s.card < min_part_size for s in subs):
+    if len(subs) < 2 or any(s.card < min_part_size for s in subs):
         return False
     if d < 1 or (ctx.q - 1) % d != 0:
         return False
-    return sumset_many(subs).bits == subgroup(ctx, d).members.bits
+    return sumset_many(subs).bits == subgroup(ctx, d).bits
 
 
 def _orbit_key(ctx: FieldCtx, d: int, parts, images=None):
@@ -380,7 +380,7 @@ def _search(task: SearchTask, arity: int) -> SearchResult:
     q, d, min_sz = task.q, task.d, task.min_part_size
     ctx = make_field_q(q)
     order = (q - 1) // d
-    s_bits = subgroup(ctx, d).members.bits
+    s_bits = subgroup(ctx, d).bits
     counts = {k: 0 for k in sorted(DEFAULT_PRUNES)}
     rules = (q, ctx.p, order, task.prune_flags, counts)
     gas = _Gas(task.budget)

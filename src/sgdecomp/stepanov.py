@@ -110,8 +110,7 @@ def build_certificate(ctx: FieldCtx, a_set: FqSubset, b_set: FqSubset,
     """Construct and internally verify the certificate for (A, B, d)."""
     if a_set.bits == 0 or b_set.bits == 0:
         raise EmptyInput("A and B must be nonempty")
-    spec = subgroup(ctx, d)
-    allowed = spec.members.bits | 1  # S_d together with zero
+    allowed = subgroup(ctx, d).bits | 1  # S_d together with zero
     if sumset(a_set, b_set).bits & ~allowed:
         raise HypothesisViolated("A + B leaves S_d union {0}")
 
@@ -192,8 +191,7 @@ def zero_polynomial_dichotomy(ctx: FieldCtx, a_set: FqSubset, b_set: FqSubset,
     Exactness of the decomposition is a precondition; near-misses raise
     HypothesisViolated.
     """
-    spec = subgroup(ctx, d)
-    if sumset(a_set, b_set).bits != spec.members.bits:
+    if sumset(a_set, b_set).bits != subgroup(ctx, d).bits:
         raise HypothesisViolated("A + B is not exactly S_d")
     cert = build_certificate(ctx, a_set, b_set, d)
     if cert.poly.is_zero:
@@ -212,7 +210,7 @@ def grow_hypothesis_pair(ctx: FieldCtx, d: int, rng: random.Random,
     Used by property tests and the self-test battery: every grown pair is a
     legitimate certificate input by construction.
     """
-    target = subgroup(ctx, d).members.bits | 1
+    target = subgroup(ctx, d).bits | 1
     a = rng.randrange(ctx.q)
     a_bits, for_b = 1 << a, ctx.translate_bits(target, ctx.neg(a))
     b = rng.choice(list(iter_bits(for_b)))

@@ -103,7 +103,7 @@ def structure_check(cert: StepanovCertificate) -> StructureReport:
     ctx = cert.ctx
     a_set = FqSubset.from_indices(ctx, cert.a_elems)
     b_set = FqSubset.from_indices(ctx, cert.b_elems)
-    if sumset(a_set, b_set).bits != subgroup(ctx, cert.d).members.bits:
+    if sumset(a_set, b_set).bits != subgroup(ctx, cert.d).bits:
         raise HypothesisViolated("A + B is not exactly S_d")
     e, order = cert.exponent, cert.subgroup_order
     top_ok = cert.binom_ok

@@ -233,8 +233,8 @@ def test_criterion_07_character_sum_bound():
             assert abs(rep.value) <= rep.bound + 1e-6, (q, d)
         # exactness whenever A + B lands inside the subgroup
         for d in ds:
-            members = sorted(subgroup(ctx, d).members.indices())
-            s_bits = subgroup(ctx, d).members.bits
+            members = subgroup(ctx, d).indices()
+            s_bits = subgroup(ctx, d).bits
             for _ in range(40):
                 a0, a1 = rng.choice(members), rng.choice(members)
                 pool = [x for x in range(q)

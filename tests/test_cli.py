@@ -207,7 +207,7 @@ def _witnesses(value):
     return lambda payload: dict(payload, witnesses=value)
 
 
-@pytest.mark.parametrize("forge", [
+@pytest.mark.parametrize("d, forge", [(3, forge) for forge in (
     lambda payload: [payload],
     lambda payload: "abc",
     _witnesses("abc"),
@@ -219,14 +219,23 @@ def _witnesses(value):
     lambda payload: {"q": 13, "d": 3, "arity": 2, "min_part_size": 2,
                      "kind": "NONE_EXHAUSTIVE", "complete": True,
                      "witnesses": [], "orbit_count": 0, "nodes": 0},
+    lambda payload: dict(payload, orbit_count=99, nodes=-7),
+    lambda payload: dict(payload, probes=True),
+    lambda payload: dict(payload, emissions=1.5),
+    lambda payload: dict(payload, prune_counts={"X": -1}),
+)] + [
+    # (13, 2) has no decomposition; S_2 alone, the squares, is not one
+    (2, lambda payload: dict(payload, kind="EXISTS", orbit_count=1,
+                             witnesses=[{"parts": [[1, 3, 4, 9, 10, 12]]}])),
 ], ids=["list", "string", "witnesses-string", "witness-int", "witness-no-parts",
         "other-q", "kind-without-exists", "complete-without-provenance",
-        "forged-none-exhaustive"])
+        "forged-none-exhaustive", "forged-counts", "bool-probes",
+        "float-emissions", "unknown-prune", "one-part-exists"])
 def test_search_malformed_cache_entry_is_a_miss(capsys, monkeypatch, tmp_path,
-                                                forge):
+                                                d, forge):
     # a checksummed entry that does not pass the --replay check is stale
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    argv = ("search", "--q", "13", "--d", "3")
+    argv = ("search", "--q", "13", "--d", str(d))
     _, fresh, _ = run_json(capsys, *argv, "--no-cache")
     run_json(capsys, *argv)
     (entry,) = tmp_path.glob("*.json")
@@ -409,7 +418,11 @@ def test_selftest_replay_unreadable_report(capsys, tmp_path, text):
     {"q": 49, "d": 8, "parts": [[1.0, 2, 4], [1, 2, 4]]},  # float index
     {"q": 49, "d": 8, "parts": 5},  # parts not a list
     {"q": "49", "d": 8, "parts": [[1, 2, 4], [1, 2, 4]]},  # string q
-], ids=["string-index", "float-index", "parts-not-list", "string-q"])
+    {"q": 49, "d": 8, "parts": [[1, 2, 3, 4, 5, 6]]},  # S_8 alone
+    # A + B + C = S_8, replayed from a report that states arity 2
+    {"q": 49, "d": 8, "arity": 2, "parts": [[0, 1], [0, 1], [1, 2, 3, 4]]},
+], ids=["string-index", "float-index", "parts-not-list", "string-q", "one-part",
+        "three-parts-at-arity-2"])
 def test_selftest_replay_malformed_witness(capsys, tmp_path, witness):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"results": witness}))

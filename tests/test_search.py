@@ -58,6 +58,10 @@ def test_verify_witness():
     assert not verify_witness(ctx, ((1, 2, 4), (1, 2, 5)), 8)
     assert not verify_witness(ctx, ((1,), (0, 1, 2, 3, 4, 5)), 8)  # size floor
     assert verify_witness(ctx, ((1,), (0, 1, 2, 3, 4, 5)), 8, min_part_size=1)
+    # one part is S_d itself, not a decomposition
+    f13 = make_field_q(13)
+    assert not verify_witness(f13, ((1, 3, 4, 9, 10, 12),), 2)
+    assert not verify_witness(ctx, ((1, 2, 3, 4, 5, 6),), 8, min_part_size=1)
     # sums outside the subgroup
     assert not verify_witness(ctx, ((0, 1), (1, 2, 4)), 8)
     # malformed input reads as invalid, not as an error
